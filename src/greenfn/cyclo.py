@@ -170,6 +170,13 @@ class CycQ:
         return self
 
     @classmethod
+    def _rat(cls, value: Rat) -> "CycQ":
+        """Wrap a Fraction that is already in canonical form (conductor 1)."""
+        self = object.__new__(cls)
+        self.n, self.coeffs, self._hash = 1, (value,), None
+        return self
+
+    @classmethod
     def rational(cls, value) -> "CycQ":
         return cls(Rat(value))
 
@@ -186,6 +193,8 @@ class CycQ:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
+        if self.n == 1:
+            return not self.coeffs[0]
         return all(c == 0 for c in self.coeffs)
 
     def is_rational(self) -> bool:
@@ -221,23 +230,32 @@ class CycQ:
         return n, a._promote(n), b._promote(n)
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # Operands that are both rational (conductor 1) are combined as Fractions
+    # and wrapped directly: the result is already canonical.
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.n == 1 and other.n == 1:
+            return CycQ._rat(self.coeffs[0] + other.coeffs[0])
         n, x, y = self._pair(self, other)
         return CycQ._make(n, tuple(a + b for a, b in zip(x, y)))
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.n == 1:
+            return CycQ._rat(-self.coeffs[0])
         return CycQ._make(self.n, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.n == 1 and other.n == 1:
+            return CycQ._rat(self.coeffs[0] - other.coeffs[0])
         return self + (-other)
 
     def __rsub__(self, other):
@@ -247,6 +265,8 @@ class CycQ:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.n == 1 and other.n == 1:
+            return CycQ._rat(self.coeffs[0] * other.coeffs[0])
         n, x, y = self._pair(self, other)
         dense = [Rat(0)] * (len(x) + len(y) - 1 if x and y else 1)
         for i, a in enumerate(x):

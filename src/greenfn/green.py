@@ -39,12 +39,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import (
-    CosetClassFunction,
-    character_table,
-    weighted_pairing,
-)
-from .linalg import solve_linear
+from .characters import CosetClassFunction, weighted_pairing
+from .linalg import mat_mul, solve_linear
 from .qpoly import QPoly, RatFunc, render_poly
 from .rootdata import torus_fixed_order
 from .springer import SpringerTable
@@ -150,9 +146,17 @@ def _basis_order(table: SpringerTable, block_id: int, reverse_ties: bool):
 
 
 def _block_characters(table: SpringerTable, block_id: int, basis):
-    coset = table.block_coset(block_id)
-    tab = character_table(coset)
+    tab = table.block_character_table(block_id)
     return [tab.character(s.irrep) for s in basis]
+
+
+def _phi_gram(table: SpringerTable, block_id: int, basis):
+    """Pairings <phi_i, Z phi_j> of the raw characters against Z."""
+    chars = _block_characters(table, block_id, basis)
+    zw = _z_weight(table, block_id)
+    return [
+        [RatFunc(weighted_pairing(ci, cj, zw)) for cj in chars] for ci in chars
+    ]
 
 
 def _z_weight(table: SpringerTable, block_id: int) -> CosetClassFunction:
@@ -190,16 +194,9 @@ def lusztig_shoji_solve(
     table: SpringerTable, block_id: int, reverse_ties: bool = False
 ) -> BlockSolution:
     basis = _basis_order(table, block_id, reverse_ties)
-    chars = _block_characters(table, block_id, basis)
-    zw = _z_weight(table, block_id)
     n = len(basis)
     lam = [[_lambda_target(table, basis[i], basis[j]) for j in range(n)] for i in range(n)]
-
-    # pairings of the raw characters against Z, computed once
-    phi_gram = [
-        [RatFunc(weighted_pairing(chars[i], chars[j], zw)) for j in range(n)]
-        for i in range(n)
-    ]
+    phi_gram = _phi_gram(table, block_id, basis)
 
     expansions = []  # expansions[i][j]: coefficient of phi_j in Qt_i
     for idx in range(n):
@@ -238,7 +235,7 @@ def lusztig_shoji_solve(
         _p_matrix(basis, expansions),
         tuple(tuple(r) for r in lam),
     )
-    _verify(solution, chars, zw, phi_gram)
+    _verify(solution, phi_gram)
     return solution
 
 
@@ -263,7 +260,7 @@ def _p_matrix(basis, expansions):
     return tuple(out)
 
 
-def _verify(sol: BlockSolution, chars, zw, phi_gram):
+def _verify(sol: BlockSolution, phi_gram):
     table, basis = sol.table, sol.basis
     n = len(basis)
     # diagonal 1 and support unitriangularity
@@ -280,23 +277,17 @@ def _verify(sol: BlockSolution, chars, zw, phi_gram):
                     f"P entry ({kappa.key}, {iota.key}) nonzero outside the "
                     "closure support condition"
                 )
-    # full Gram identity <Qt_g, Z Qt_k> = Lambda_{g,k}, including the diagonal
+    # full Gram identity <Qt_g, Z Qt_k> = Lambda_{g,k}, including the diagonal:
+    # the matrix E * Phi * conj(E)^T, with E the expansions
+    exp = sol.expansions
+    conj_t = [[exp[k][b].conjugate() for k in range(n)] for b in range(n)]
+    gram = mat_mul(exp, mat_mul(phi_gram, conj_t))
     for g in range(n):
         for k in range(n):
-            pairing = RatFunc(0)
-            for a in range(n):
-                ca = sol.expansions[g][a]
-                if ca.is_zero():
-                    continue
-                for b in range(n):
-                    cb = sol.expansions[k][b]
-                    if cb.is_zero():
-                        continue
-                    pairing = pairing + ca * cb.conjugate() * phi_gram[a][b]
-            if pairing != sol.lam[g][k]:
+            if gram[g][k] != sol.lam[g][k]:
                 raise SolverError(
                     f"Gram identity fails at ({basis[g].key}, {basis[k].key}): "
-                    f"{pairing} != {sol.lam[g][k]}"
+                    f"{gram[g][k]} != {sol.lam[g][k]}"
                 )
 
 

@@ -44,19 +44,19 @@ def _inverse(x):
 
 
 def mat_mul(a, b):
-    """Matrix product of two lists-of-lists."""
-    return [
-        [sum_prod(row, [b[k][j] for k in range(len(b))]) for j in range(len(b[0]))]
-        for row in a
-    ]
+    """Matrix product of two lists-of-lists (rows may be any sequences)."""
+    cols = list(zip(*b))
+    return [[sum_prod(row, col) for col in cols] for row in a]
 
 
 def sum_prod(xs, ys):
-    it = iter(x * y for x, y in zip(xs, ys))
-    out = next(it)
-    for v in it:
-        out = out + v
-    return out
+    """Sum of x * y over the pairs, skipping terms with a zero factor."""
+    out = None
+    for x, y in zip(xs, ys):
+        if _is_zero(x) or _is_zero(y):
+            continue
+        out = x * y if out is None else out + x * y
+    return xs[0] * ys[0] if out is None else out  # a zero of the entries' type
 
 
 def mat_inverse(matrix):

@@ -60,10 +60,6 @@ def mat_inv_int(a: Mat) -> Mat:
     return out
 
 
-def mat_transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
 def mat_order(a: Mat, limit: int = 10000) -> int:
     r = len(a)
     eye = identity_mat(r)
@@ -117,25 +113,20 @@ class TwistedCoset:
                 return i
         raise KeyError("element not in coset group")
 
-    def is_twisted(self) -> bool:
-        eye = identity_mat(len(self.twist))
-        sigma_trivial = all(
-            mat_mul_int(mat_mul_int(self.twist, g), mat_inv_int(self.twist)) == g
-            for g in self.elements
-        )
-        return not sigma_trivial
-
 
 def _twisted_classes(elements, sigma):
     """Partition ``elements`` into sigma-twisted conjugacy classes."""
     elems = sorted(elements)
     group = set(elems)
+    inverse = _inverses(elems)
+    # sigma(g)^-1 = sigma(g^-1), computed once per g
+    pairs = [(g, sigma(inverse[g])) for g in elems]
     seen = set()
     classes = []
     for x in elems:
         if x in seen:
             continue
-        orbit = {mat_mul_int(mat_mul_int(g, x), mat_inv_int(sigma(g))) for g in group}
+        orbit = {mat_mul_int(mat_mul_int(g, x), s_inv) for g, s_inv in pairs}
         if not orbit <= group:
             raise ValueError("twist does not normalize the group")
         seen |= orbit
@@ -150,6 +141,27 @@ def _twisted_classes(elements, sigma):
     if total != len(group):
         raise ValueError("twisted classes do not partition the group")
     return tuple(classes)
+
+
+def _inverses(elems) -> dict:
+    """The inverse of every element of a finite matrix group, read off the
+    cyclic subgroup each element generates (g^-1 = g^(k-1) for g of order k)."""
+    eye = identity_mat(len(elems[0]))
+    inverse = {}
+    for g in elems:
+        if g in inverse:
+            continue
+        powers = [eye]
+        p = g
+        while p != eye:
+            powers.append(p)
+            if len(powers) > len(elems):
+                raise ValueError("elements do not form a finite group")
+            p = mat_mul_int(p, g)
+        k = len(powers)
+        for i, h in enumerate(powers):
+            inverse[h] = powers[-i % k]
+    return inverse
 
 
 def generate_group(generators, limit: int = 2_000_000):
@@ -351,6 +363,13 @@ class LeviDatum:
     twist_element: Mat | None = None
 
     def __post_init__(self):
+        n_simple = len(self.parent.simple_roots)
+        for i in self.subset:
+            if not 0 <= i < n_simple:
+                raise ValueError(
+                    f"Levi index {i} out of range: {self.parent.label or 'the group'} "
+                    f"has {n_simple} simple roots"
+                )
         phi = self.frobenius_twist()
         roots_I = {self.parent.simple_roots[i] for i in self.subset}
         if {mat_vec(phi, a) for a in roots_I} != roots_I:
@@ -554,8 +573,9 @@ def relative_weyl_group(G: RootDatumF, L0: LeviDatum) -> TwistedCoset:
         raise ValueError("Frobenius twist does not stabilize the Levi subset")
     phi_inv = mat_inv_int(phi)
     sigma = lambda g: mat_mul_int(mat_mul_int(phi, g), phi_inv)
+    stab_set = set(stab)
     for w in stab:
-        if sigma(w) not in set(stab):
+        if sigma(w) not in stab_set:
             raise ValueError("twist does not normalize the relative Weyl group")
     classes = _twisted_classes(stab, sigma)
     structure, labels, block_data = _detect_structure(G, L0, stab, classes)

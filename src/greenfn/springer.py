@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from itertools import product as _iter_product
 
-from .characters import DataPackRequired, partitions
+from .characters import DataPackRequired, character_table, partitions
 from .cyclo import CycQ
 from .qpoly import QPoly, parse_phi_string, render_poly
 from .rootdata import LeviDatum, RootDatumF, cartan_type, gl, relative_weyl_group
@@ -80,6 +80,7 @@ class SpringerTable:
         self.induced_map = induced_map  # callable or None
         self._by_label = {c.label: c for c in self.classes}
         self._cosets = {}
+        self._char_tables = {}
         _validate_table(self)
 
     # -- lookups -------------------------------------------------------------
@@ -100,6 +101,12 @@ class SpringerTable:
                 self.group, self.block_levi(block_id)
             )
         return self._cosets[block_id]
+
+    def block_character_table(self, block_id: int):
+        """Character table of the block's relative Weyl coset, built once."""
+        if block_id not in self._char_tables:
+            self._char_tables[block_id] = character_table(self.block_coset(block_id))
+        return self._char_tables[block_id]
 
     def centralizer_order(self, label: str) -> QPoly:
         cls = self.unipotent_class(label)
@@ -179,10 +186,7 @@ def _validate_table(table: SpringerTable):
             raise DataPackRequired(
                 f"block {blk.block_id}: two systems supported on the regular class"
             )
-        from .characters import character_table
-
-        coset = table.block_coset(blk.block_id)
-        tab = character_table(coset)
+        tab = table.block_character_table(blk.block_id)
         irreps = [s.irrep for s in systems]
         if sorted(map(repr, irreps)) != sorted(map(repr, tab.labels)):
             raise DataPackRequired(
@@ -366,13 +370,41 @@ def gl_levi_class_label(partitions_per_block) -> str:
 
 PACK_FORMAT = "greenfn-pack-v1"
 
+# required keys of the entries of each list in a pack
+_PACK_ENTRY_KEYS = {
+    "classes": ("label", "dimension", "below", "c0_order"),
+    "systems": ("class", "chi", "block", "c", "irrep"),
+    "blocks": ("id", "levi_subset"),
+}
+
+
+def _check_pack_schema(document):
+    """Reject a document without the shape load_pack reads."""
+    if not isinstance(document, dict):
+        raise DataPackRequired("pack must be a JSON object")
+    if document.get("format") != PACK_FORMAT:
+        raise DataPackRequired(f"unknown pack format {document.get('format')!r}")
+    if not isinstance(document.get("group"), str):
+        raise DataPackRequired("pack needs a string 'group'")
+    for section, keys in _PACK_ENTRY_KEYS.items():
+        entries = document.get(section)
+        if not isinstance(entries, list):
+            raise DataPackRequired(f"pack needs a list '{section}'")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise DataPackRequired(f"pack {section}[{i}] is not an object")
+            missing = [k for k in keys if k not in entry]
+            if missing:
+                raise DataPackRequired(
+                    f"pack {section}[{i}] lacks {', '.join(map(repr, missing))}"
+                )
+
 
 def load_pack(document) -> SpringerTable:
     """Build and validate a SpringerTable from a JSON pack document."""
     if isinstance(document, str):
         document = json.loads(document)
-    if document.get("format") != PACK_FORMAT:
-        raise DataPackRequired(f"unknown pack format {document.get('format')!r}")
+    _check_pack_schema(document)
     group = cartan_type(document["group"])
     classes = []
     for c in document["classes"]:

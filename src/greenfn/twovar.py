@@ -31,14 +31,9 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import (
-    DataPackRequired,
-    character_table,
-    induce,
-    inner_product,
-)
+from .characters import DataPackRequired, induce, inner_product
 from .green import SolverError, green_table as one_var_table, lusztig_shoji_solve
-from .linalg import mat_inverse
+from .linalg import mat_inverse, mat_mul
 from .qpoly import QPoly, RatFunc, render_poly
 from .rootdata import LeviDatum, class_fusion, torus_fixed_order
 from .springer import SpringerTable, dominates, gl_levi_springer
@@ -107,34 +102,30 @@ class _BlockPair:
     def rtilde(self):
         """Rt_{iota,gamma} = q^{c_iota - c_gamma} R_{iota,gamma} in Z[q]."""
         if self._rtilde is None:
-            self._rtilde = self._compute_rtilde()
+            self._rtilde = self._compute_rtilde(self._induction_matrix())
         return self._rtilde
 
-    def _compute_rtilde(self):
-        tab_g = character_table(self.coset_g)
-        tab_l = character_table(self.coset_l)
-        basis_g, basis_l = self.sol_g.basis, self.sol_l.basis
-        ind = []
-        for s_g in basis_g:
-            phi_g = tab_g.character(s_g.irrep)
-            row = []
-            for s_l in basis_l:
-                phi_l = induce(tab_l.character(s_l.irrep), self.coset_g)
-                val = inner_product(phi_l, phi_g).conjugate()
-                row.append(RatFunc(QPoly([val])))
-            ind.append(row)
+    def _induction_matrix(self):
+        """conj(I)_{iota,gamma} = conj(<Ind phi_gamma, phi_iota>) as RatFuncs."""
+        tab_g = self.tG.block_character_table(self.block_g)
+        tab_l = self.tL.block_character_table(self.block_l)
+        induced = [
+            induce(tab_l.character(s.irrep), self.coset_g) for s in self.sol_l.basis
+        ]
+        return [
+            [RatFunc(QPoly([inner_product(f, phi_g).conjugate()])) for f in induced]
+            for phi_g in (tab_g.character(s.irrep) for s in self.sol_g.basis)
+        ]
+
+    def _compute_rtilde(self, ind):
+        """Rt from the induction matrix ``ind``: R = (B^G * conj I) * (B^L)^-1."""
         b_l_inv = mat_inverse([list(row) for row in self.sol_l.expansions])
+        r = mat_mul(mat_mul(self.sol_g.expansions, ind), b_l_inv)
         out = []
-        for i, s_g in enumerate(basis_g):
+        for i, s_g in enumerate(self.sol_g.basis):
             row = []
-            for g, s_l in enumerate(basis_l):
-                r = RatFunc(0)
-                for k in range(len(basis_g)):
-                    if self.sol_g.expansions[i][k].is_zero():
-                        continue
-                    for d in range(len(basis_l)):
-                        r = r + self.sol_g.expansions[i][k] * ind[k][d] * b_l_inv[d][g]
-                scaled = r * RatFunc.q_power(s_g.c_value - s_l.c_value)
+            for g, s_l in enumerate(self.sol_l.basis):
+                scaled = r[i][g] * RatFunc.q_power(s_g.c_value - s_l.c_value)
                 if not scaled.is_polynomial():
                     raise SolverError(
                         f"Rt entry ({s_g.key}, {s_l.key}) = {scaled} not polynomial"

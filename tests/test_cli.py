@@ -7,6 +7,7 @@ from greenfn.cli import (
     EXIT_OK,
     main,
 )
+from greenfn.springer import export_pack, gl_springer
 
 
 def run(capsys, *argv):
@@ -37,6 +38,12 @@ class TestTable:
         _, out1, _ = run(capsys, "table", "GL3", "--levi", "1")
         _, out2, _ = run(capsys, "table", "GL3", "--levi", "1")
         assert out1 == out2
+
+    def test_levi_index_out_of_range(self, capsys):
+        code, out, err = run(capsys, "table", "GL3", "--levi", "5")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_non_gl_needs_pack(self, capsys):
         code, _, err = run(capsys, "table", "2E6sc")
@@ -80,6 +87,22 @@ class TestPacks:
         code, _, err = run(capsys, "pack-validate", str(target))
         assert code == EXIT_DATA
         assert "error" in err
+
+    def test_validate_rejects_pack_without_group(self, capsys, tmp_path):
+        doc = export_pack(gl_springer(2))
+        del doc["group"]
+        target = tmp_path / "nogroup.json"
+        target.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "pack-validate", str(target))
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and "group" in err
+
+    def test_validate_rejects_json_list(self, capsys, tmp_path):
+        target = tmp_path / "list.json"
+        target.write_text(json.dumps([export_pack(gl_springer(2))]))
+        code, _, err = run(capsys, "pack-validate", str(target))
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and "object" in err
 
     def test_validate_missing_file(self, capsys):
         code, _, _ = run(capsys, "pack-validate", "/nonexistent/pack.json")

@@ -111,6 +111,34 @@ class TestCycQ:
     def test_json_round_trip(self, a):
         assert CycQ.from_json(a.to_json()) == a
 
+    @given(rationals, rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_rational_fast_path_matches_fraction(self, x, y):
+        a, b = CycQ(x), CycQ(y)
+        for got, want in (
+            (a + b, x + y),
+            (a - b, x - y),
+            (a * b, x * y),
+            (-a, -x),
+            (a + y, x + y),
+            (x * b, x * y),
+        ):
+            assert got.n == 1 and got.coeffs == (want,)
+            assert type(got.coeffs[0]) is Fraction
+            assert got == CycQ(want) and hash(got) == hash(CycQ(want))
+        assert a.is_zero() == (x == 0)
+        assert (a - a).is_zero()
+
+    def test_mixed_operands_still_canonicalize(self):
+        z3, z4 = CycQ.zeta(3), CycQ.zeta(4)
+        total = z3 + z3**2
+        assert total == CycQ(-1) and total.n == 1
+        square = z4 * z4
+        assert square == -1 and square.n == 1
+        assert hash(square) == hash(CycQ(-1))
+        assert (z3 - z3).is_zero() and (z3 - z3).n == 1
+        assert not z3.is_zero()
+
     def test_cyclotomic_polynomials(self):
         # [TRIVIAL] standard tables
         assert cyclotomic_int_coeffs(1) == (-1, 1)

@@ -1,15 +1,19 @@
 """Tests for the one-variable Green function solver."""
 
+import dataclasses
+
 import pytest
 
 from greenfn.green import (
     SolverError,
+    _phi_gram,
+    _verify,
     green_orthogonality,
     green_table,
     lusztig_shoji_solve,
     one_var_green,
 )
-from greenfn.qpoly import QPoly
+from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import (
     SpringerTable,
     UnipotentClass,
@@ -124,3 +128,14 @@ class TestFailureModes:
         broken = SpringerTable(table.group, classes, table.systems, table.blocks)
         with pytest.raises(SolverError):
             lusztig_shoji_solve(broken, 0)
+
+    def test_perturbed_expansion_fails_gram_identity(self):
+        table = gl_springer(3)
+        sol = lusztig_shoji_solve(table, 0)
+        phi_gram = _phi_gram(table, 0, sol.basis)
+        _verify(sol, phi_gram)  # the unperturbed solution passes
+        rows = [list(row) for row in sol.expansions]
+        rows[2][1] = rows[2][1] + RatFunc(1)  # off-diagonal; P is left as is
+        bad = dataclasses.replace(sol, expansions=tuple(map(tuple, rows)))
+        with pytest.raises(SolverError, match="Gram identity fails"):
+            _verify(bad, phi_gram)

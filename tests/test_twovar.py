@@ -1,10 +1,14 @@
 """Tests for the two-variable Green functions and the R-matrix route."""
 
+import pytest
+
+from greenfn.green import SolverError
 from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import gl_springer
 from greenfn.twovar import (
     CrossPathMismatch,
     TwoVarEngine,
+    _BlockPair,
     green_two_var_table,
     two_var_blocksum,
     two_var_rmatrix,
@@ -125,3 +129,18 @@ class TestSerialization:
 
     def test_mismatch_exception_type(self):
         assert issubclass(CrossPathMismatch, ArithmeticError)
+
+
+def test_perturbed_induction_matrix_is_caught(monkeypatch):
+    tG = gl_springer(3)
+    L = tG.group.levi(())
+    original = _BlockPair._induction_matrix
+
+    def perturbed(self):
+        ind = original(self)
+        ind[1][0] = ind[1][0] + RatFunc(1)
+        return ind
+
+    monkeypatch.setattr(_BlockPair, "_induction_matrix", perturbed)
+    with pytest.raises((SolverError, CrossPathMismatch)):
+        green_two_var_table(tG, L)
