@@ -30,6 +30,7 @@ from .qpoly import PhiParseError, render_poly
 from .rootdata import cartan_type
 from .springer import (
     export_pack,
+    gl_block_sizes,
     gl_levi_class_label,
     gl_springer,
     load_pack,
@@ -132,7 +133,7 @@ def cmd_oracle_compare(args) -> int:
         raise DataPackRequired("oracle comparison needs a GL_n group")
     n = G.gl_size
     L = _levi(args, G)
-    composition = _composition(n, L.subset)
+    composition = gl_block_sizes(n, L.subset)
     FG = FiniteGL(n, args.q)
     engine = TwoVarEngine(tG, L)
     compared = 0
@@ -152,17 +153,6 @@ def cmd_oracle_compare(args) -> int:
         f"levi={list(L.subset)}: {compared} entries OK\n"
     )
     return EXIT_OK
-
-
-def _composition(n, subset):
-    sizes = []
-    start = 0
-    cut = set(range(n - 1)) - set(subset)
-    for i in sorted(cut):
-        sizes.append(i + 1 - start)
-        start = i + 1
-    sizes.append(n - start)
-    return tuple(sizes)
 
 
 def cmd_pack_validate(args) -> int:

@@ -2,23 +2,33 @@
 Brute-force oracles over tiny finite fields, independent of the solver.
 
 FiniteGL enumerates GL_n(F_q) for n <= 3 and prime q in {2, 3} as explicit
-matrices.  The two-variable function is obtained by counting:
+matrices.  The two-variable function is obtained by counting.  For the
+block upper-triangular parabolic P = L U of a composition,
 
     Q(u, v) = (|L^F| |U^F|)^{-1} #{x in G^F : x^{-1} u x in v U^F}
+            = |C_G(u)| |u^G ∩ v U^F| / (|L^F| |U^F|),
 
-for the block upper-triangular parabolic P = L U of a composition.  The
-count is certified against directly computed Harish-Chandra induction: for
-every irreducible character psi of L^F,
+because x -> x^{-1} u x maps G^F onto the class u^G and each fibre is a
+coset of C_G(u).  The class u^G is computed as the orbit of u under
+conjugation by a generating set of G^F: the transvections I + E_ij (i != j)
+and diag(g, 1, ..., 1) for a generator g of F_q^*.  The test suite checks
+that these generate the whole enumerated group for every supported (n, q).
+|C_G(u)| = |G^F| / |u^G|, with |G^F| counted from the enumeration.
+
+The count is certified against directly computed Harish-Chandra induction:
+for every irreducible character psi of L^F,
 
     |L^F| <psi, Q(u, .)> = (R_L^G psi)(u)
                          = |P^F|^{-1} sum_{x : x u x^{-1} in P} psi(pr_L(x u x^{-1}))
+                         = |C_G(u)| |P^F|^{-1} sum_{c in u^G ∩ P} psi(pr_L(c))
 
 using the closed-form character table of GL_2(q) (families U_alpha,
 St_alpha, pi_{alpha,beta}, theta_phi) and the linear characters of GL_1(q).
 
 The Gelfand-Graev character Gamma = Ind_U^G psi_reg, for a regular linear
 character of the full unipotent radical, gives the scalar-product oracle
-<Gamma, Gamma>.
+<Gamma, Gamma>, again summed over each unipotent class with multiplicity
+|C_G(u)|.
 
 Classical one-variable Green polynomials are recovered from Hall-Littlewood
 symmetric functions: p_mu = sum_lam X^lam_mu(t) P_lam(x; t) and
@@ -28,6 +38,8 @@ symmetric functions: p_mu = sum_lam X^lam_mu(t) P_lam(x; t) and
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iter_product
@@ -49,10 +61,9 @@ class OracleError(ArithmeticError):
 
 
 def _mat_mul(a, b, p):
-    n = len(a)
+    cols = tuple(zip(*b))
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
+        tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a
     )
 
 
@@ -62,37 +73,12 @@ def _det(m, p):
         return m[0][0] % p
     if n == 2:
         return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        total += (-1) ** j * m[0][j] * _det(minor, p)
-    return total % p
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
 
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_inv(m, p):
-    n = len(m)
-    det = _det(m, p)
-    det_inv = pow(det, -1, p)
-    if n == 1:
-        return ((det_inv,),)
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != j)
-                for r in range(n)
-                if r != i
-            )
-            row.append((-1) ** (i + j) * _det(minor, p) if n > 1 else 1)
-        cof.append(row)
-    return tuple(
-        tuple((cof[j][i] * det_inv) % p for j in range(n)) for i in range(n)
-    )
 
 
 def jordan_type(u, p):
@@ -143,6 +129,29 @@ def jordan_matrix(lam, n, p):
     return tuple(tuple(row) for row in m)
 
 
+def generators(n, q):
+    """(s, s^{-1}) for a generating set of GL_n(F_q), q prime.
+
+    The transvections I + E_ij (i != j) generate SL_n(F_q); diag(g, 1, ..., 1)
+    with g a generator of F_q^* adds every determinant.
+    """
+    g = next(x for x in range(1, q) if _mult_order(x, q) == q - 1)
+
+    def with_entry(i, j, a):
+        m = [list(row) for row in _identity(n)]
+        m[i][j] = a
+        return tuple(tuple(row) for row in m)
+
+    pairs = [
+        (with_entry(i, j, 1), with_entry(i, j, q - 1))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+    pairs.append((with_entry(0, 0, g), with_entry(0, 0, pow(g, -1, q))))
+    return tuple(pairs)
+
+
 # ---------------------------------------------------------------------------
 # the group
 
@@ -154,17 +163,13 @@ class FiniteGL:
         if n > 3 or q not in (2, 3):
             raise ValueError("oracle supports n <= 3 and q in {2, 3}")
         self.n, self.q = n, q
+        rows = tuple(_iter_product(range(q), repeat=n))
         self.elements = tuple(
-            m
-            for m in (
-                tuple(
-                    tuple(flat[i * n + j] for j in range(n)) for i in range(n)
-                )
-                for flat in _iter_product(range(q), repeat=n * n)
-            )
-            if _det(m, q)
+            m for m in _iter_product(rows, repeat=n) if _det(m, q)
         )
-        self._inv = {m: _mat_inv(m, q) for m in self.elements}
+        self._generators = generators(n, q)
+        self._classes = {}  # matrix -> its conjugacy class
+        self._levi_orders = {}  # composition -> |L^F|
 
     @property
     def order(self) -> int:
@@ -173,25 +178,36 @@ class FiniteGL:
     def mul(self, a, b):
         return _mat_mul(a, b, self.q)
 
-    def inv(self, m):
-        return self._inv[m]
+    # -- conjugacy classes ---------------------------------------------------
 
-    # -- unipotent structure -------------------------------------------------
+    def conjugacy_class(self, m) -> frozenset:
+        """The orbit of m under conjugation, as the closure of {m} under
+        conjugation by the generating set of ``generators``."""
+        cls = self._classes.get(m)
+        if cls is None:
+            seen = {m}
+            frontier = [m]
+            while frontier:
+                c = frontier.pop()
+                for s, s_inv in self._generators:
+                    d = self.mul(self.mul(s_inv, c), s)
+                    if d not in seen:
+                        seen.add(d)
+                        frontier.append(d)
+            cls = frozenset(seen)
+            self._classes[m] = cls
+        return cls
 
-    @lru_cache(maxsize=None)
+    def centralizer_order(self, m) -> int:
+        return self.order // len(self.conjugacy_class(m))
+
     def unipotent_class_sizes(self):
         """{partition: number of unipotent elements of that Jordan type}."""
         n, q = self.n, self.q
-        out = {}
-        for lam in partitions(n):
-            rep = jordan_matrix(lam, n, q)
-            cent = sum(
-                1
-                for x in self.elements
-                if self.mul(x, rep) == self.mul(rep, x)
-            )
-            out[lam] = self.order // cent
-        return out
+        return {
+            lam: len(self.conjugacy_class(jordan_matrix(lam, n, q)))
+            for lam in partitions(n)
+        }
 
     # -- parabolic data ------------------------------------------------------
 
@@ -224,19 +240,6 @@ class FiniteGL:
             out.append(tuple(tuple(row) for row in m))
         return tuple(out)
 
-    def levi_elements(self, composition):
-        spans = self._blocks(composition)
-        factors = [FiniteGL(len(s), self.q) for s in spans]
-        out = []
-        for combo in _iter_product(*[f.elements for f in factors]):
-            m = [[0] * self.n for _ in range(self.n)]
-            for span, g in zip(spans, combo):
-                for a, i in enumerate(span):
-                    for b, j in enumerate(span):
-                        m[i][j] = g[a][b]
-            out.append(tuple(tuple(row) for row in m))
-        return tuple(out)
-
     def in_parabolic(self, m, composition) -> bool:
         spans = self._blocks(composition)
         block_of = {}
@@ -257,6 +260,17 @@ class FiniteGL:
             blocks.append(tuple(tuple(m[i][j] for j in span) for i in span))
         return tuple(blocks)
 
+    def levi_order(self, composition) -> int:
+        """|L^F|, each block counted by enumerating its GL_s(F_q)."""
+        order = self._levi_orders.get(composition)
+        if order is None:
+            order = math.prod(
+                self.order if s == self.n else FiniteGL(s, self.q).order
+                for s in composition
+            )
+            self._levi_orders[composition] = order
+        return order
+
     def levi_embed(self, blocks, composition):
         spans = self._blocks(composition)
         m = [[0] * self.n for _ in range(self.n)]
@@ -272,7 +286,8 @@ class FiniteGL:
         """(|L^F| |U^F|)^{-1} #{x : x^{-1} u x in v U^F}.
 
         ``u_partition`` is the Jordan type of u in G; ``v_partitions`` the
-        per-block Jordan types of the unipotent v in L.
+        per-block Jordan types of the unipotent v in L.  The count is
+        |C_G(u)| |u^G ∩ v U^F| by orbit-stabilizer.
         """
         u = jordan_matrix(u_partition, self.n, self.q)
         v = self.levi_embed(
@@ -281,15 +296,8 @@ class FiniteGL:
         )
         radical = self.radical_elements(composition)
         target = {self.mul(v, r) for r in radical}
-        count = sum(
-            1
-            for x in self.elements
-            if self.mul(self.mul(self._inv[x], u), x) in target
-        )
-        levi_order = 1
-        for s in composition:
-            levi_order *= FiniteGL(s, self.q).order
-        return Fraction(count, levi_order * len(radical))
+        count = self.centralizer_order(u) * len(self.conjugacy_class(u) & target)
+        return Fraction(count, self.levi_order(composition) * len(radical))
 
     # -- certification against Harish-Chandra induction ----------------------
 
@@ -302,10 +310,7 @@ class FiniteGL:
         spans = self._blocks(composition)
         psis = _levi_irreducibles(composition, self.q)
         radical = self.radical_elements(composition)
-        levi_order = 1
-        for s in composition:
-            levi_order *= FiniteGL(s, self.q).order
-        parabolic_order = levi_order * len(radical)
+        parabolic_order = self.levi_order(composition) * len(radical)
         levi_unip = [
             tuple(lams)
             for lams in _iter_product(*[partitions(s) for s in composition])
@@ -314,18 +319,19 @@ class FiniteGL:
         levi_factors = [FiniteGL(len(s), self.q) for s in spans]
         for u_lam in partitions(self.n):
             u = jordan_matrix(u_lam, self.n, self.q)
-            # multiset of Levi projections of the parabolic-valued conjugates
-            projections = []
-            for x in self.elements:
-                c = self.mul(self.mul(x, u), self._inv[x])
-                if self.in_parabolic(c, composition):
-                    projections.append(self.levi_part(c, composition))
+            # Levi projections of the parabolic-valued conjugates; each
+            # class member is x u x^{-1} for |C_G(u)| elements x
+            projections = [
+                self.levi_part(c, composition)
+                for c in self.conjugacy_class(u)
+                if self.in_parabolic(c, composition)
+            ]
             q_values = {
                 v_lams: self.hc_two_var(composition, u_lam, v_lams)
                 for v_lams in levi_unip
             }
             v_sizes = {
-                v_lams: _prod(
+                v_lams: math.prod(
                     f.unipotent_class_sizes()[lam]
                     for f, lam in zip(levi_factors, v_lams)
                 )
@@ -344,7 +350,9 @@ class FiniteGL:
                 rhs = CycQ(0)
                 for blocks in projections:
                     rhs = rhs + psi(blocks)
-                rhs = rhs * CycQ(Fraction(1, parabolic_order))
+                rhs = rhs * CycQ(
+                    Fraction(self.centralizer_order(u), parabolic_order)
+                )
                 if lhs != rhs:
                     raise OracleError(
                         f"HC certification fails: composition {composition}, "
@@ -365,23 +373,16 @@ class FiniteGL:
 
         u_set = set(radical)
         total = CycQ(0)
-        for lam, size in self.unipotent_class_sizes().items():
+        for lam in partitions(self.n):
             rep = jordan_matrix(lam, self.n, q)
+            cls = self.conjugacy_class(rep)
             gamma = CycQ(0)
-            for x in self.elements:
-                c = self.mul(self.mul(x, rep), self._inv[x])
+            for c in cls:
                 if c in u_set:
                     gamma = gamma + psi(c)
-            gamma = gamma * CycQ(Fraction(1, len(radical)))
-            total = total + gamma * gamma.conjugate() * CycQ(size)
+            gamma = gamma * CycQ(Fraction(self.centralizer_order(rep), len(radical)))
+            total = total + gamma * gamma.conjugate() * CycQ(len(cls))
         return total * CycQ(Fraction(1, self.order))
-
-
-def _prod(items):
-    out = 1
-    for v in items:
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,8 @@ class LeviDatum:
                     f"Levi index {i} out of range: {self.parent.label or 'the group'} "
                     f"has {n_simple} simple roots"
                 )
+        if len(set(self.subset)) != len(self.subset):
+            raise ValueError(f"Levi subset {list(self.subset)} repeats an index")
         phi = self.frobenius_twist()
         roots_I = {self.parent.simple_roots[i] for i in self.subset}
         if {mat_vec(phi, a) for a in roots_I} != roots_I:

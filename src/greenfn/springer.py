@@ -290,7 +290,7 @@ def gl_levi_springer(L: LeviDatum) -> SpringerTable:
     if G.gl_size is None:
         raise DataPackRequired("Levi Springer table: only generated inside GL_n")
     n = G.gl_size
-    sizes = _gl_block_sizes(n, L.subset)
+    sizes = gl_block_sizes(n, L.subset)
     tuples = list(_iter_product(*[partitions(s) for s in sizes]))
     classes = []
     systems = []
@@ -335,7 +335,7 @@ def gl_levi_springer(L: LeviDatum) -> SpringerTable:
 def _gl_induced(n: int):
     def induced(L: LeviDatum, levi_class_label: str):
         # Levi = product of GL blocks; class label = comma-joined partitions
-        sizes = _gl_block_sizes(n, L.subset)
+        sizes = gl_block_sizes(n, L.subset)
         parts = [tuple(int(ch) for ch in piece) for piece in levi_class_label.split(",")]
         if len(parts) != len(sizes) or any(
             sum(p) != s for p, s in zip(parts, sizes)
@@ -350,7 +350,8 @@ def _gl_induced(n: int):
     return induced
 
 
-def _gl_block_sizes(n, subset):
+def gl_block_sizes(n, subset):
+    """Block sizes of the GL_n Levi whose simple roots are ``subset``."""
     sizes = []
     start = 0
     cut = set(range(n - 1)) - set(subset)
@@ -358,7 +359,7 @@ def _gl_block_sizes(n, subset):
         sizes.append(i + 1 - start)
         start = i + 1
     sizes.append(n - start)
-    return sizes
+    return tuple(sizes)
 
 
 def gl_levi_class_label(partitions_per_block) -> str:
@@ -376,6 +377,25 @@ _PACK_ENTRY_KEYS = {
     "systems": ("class", "chi", "block", "c", "irrep"),
     "blocks": ("id", "levi_subset"),
 }
+
+# value type of each typed entry key, and the item type of typed lists
+_PACK_VALUE_TYPES = {
+    "label": str,
+    "class": str,
+    "c0_order": str,
+    "dimension": int,
+    "block": int,
+    "id": int,
+    "below": list,
+    "chi": list,
+    "levi_subset": list,
+    "component_group": list,
+}
+_PACK_ITEM_TYPES = {"below": str, "levi_subset": int, "component_group": int}
+
+
+def _has_type(value, kind) -> bool:
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def _check_pack_schema(document):
@@ -398,6 +418,18 @@ def _check_pack_schema(document):
                 raise DataPackRequired(
                     f"pack {section}[{i}] lacks {', '.join(map(repr, missing))}"
                 )
+            for key, value in entry.items():
+                kind = _PACK_VALUE_TYPES.get(key)
+                if kind is None:
+                    continue
+                item = _PACK_ITEM_TYPES.get(key)
+                if not _has_type(value, kind) or (
+                    item and not all(_has_type(v, item) for v in value)
+                ):
+                    expected = kind.__name__ + (f" of {item.__name__}" if item else "")
+                    raise DataPackRequired(
+                        f"pack {section}[{i}] {key!r} must be {expected}, not {value!r}"
+                    )
 
 
 def load_pack(document) -> SpringerTable:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from greenfn.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -44,6 +46,12 @@ class TestTable:
         assert code == EXIT_DATA
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_levi_index_repeated(self, capsys):
+        code, out, err = run(capsys, "table", "GL3", "--levi", "0,0")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error:") and "repeats" in err
 
     def test_non_gl_needs_pack(self, capsys):
         code, _, err = run(capsys, "table", "2E6sc")
@@ -103,6 +111,33 @@ class TestPacks:
         code, _, err = run(capsys, "pack-validate", str(target))
         assert code == EXIT_DATA
         assert err.startswith("error:") and "object" in err
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("classes", "below", 5),
+            ("classes", "below", [["11"]]),
+            ("classes", "component_group", {}),
+            ("classes", "label", 2),
+            ("classes", "c0_order", 1),
+            ("classes", "dimension", "2"),
+            ("classes", "dimension", True),
+            ("systems", "chi", "1"),
+            ("systems", "class", None),
+            ("systems", "block", 0.5),
+            ("blocks", "id", "0"),
+            ("blocks", "levi_subset", 0),
+        ],
+    )
+    def test_validate_rejects_value_type(self, capsys, tmp_path, section, key, value):
+        doc = export_pack(gl_springer(2))
+        doc[section][0][key] = value
+        target = tmp_path / "typed.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "pack-validate", str(target))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error:") and repr(key) in err
 
     def test_validate_missing_file(self, capsys):
         code, _, _ = run(capsys, "pack-validate", "/nonexistent/pack.json")

@@ -1,13 +1,17 @@
 """Tests for the brute-force oracles over tiny finite fields."""
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from greenfn.characters import partitions
 from greenfn.cyclo import CycQ
 from greenfn.oracle import (
     FiniteGL,
     OracleError,
+    generators,
     gl1_characters,
     gl2_characters,
     green_polynomial,
@@ -17,6 +21,35 @@ from greenfn.oracle import (
 from greenfn.qpoly import QPoly
 
 q = QPoly.q()
+
+SUPPORTED = [(n, p) for n in (1, 2, 3) for p in (2, 3)]
+
+
+def _compositions(n):
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, n + 1) for rest in _compositions(n - k)]
+
+
+def _hc_two_var_by_scan(G, composition, u_partition, v_partitions):
+    """Reference count: conjugate u by every element of G."""
+    ident = jordan_matrix((1,) * G.n, G.n, G.q)
+    inverse = {}
+    for x in G.elements:
+        prev, power = ident, x
+        while power != ident:  # x^k = 1, so x^{-1} = x^{k-1}
+            prev, power = power, G.mul(power, x)
+        inverse[x] = prev
+    u = jordan_matrix(u_partition, G.n, G.q)
+    v = G.levi_embed(
+        [jordan_matrix(lam, s, G.q) for lam, s in zip(v_partitions, composition)],
+        composition,
+    )
+    radical = G.radical_elements(composition)
+    target = {G.mul(v, r) for r in radical}
+    count = sum(1 for x in G.elements if G.mul(G.mul(inverse[x], u), x) in target)
+    levi_order = math.prod(FiniteGL(s, G.q).order for s in composition)
+    return Fraction(count, levi_order * len(radical))
 
 
 class TestGroups:
@@ -39,6 +72,37 @@ class TestGroups:
         assert sizes == {(3,): 42, (2, 1): 21, (1, 1, 1): 1}
         sizes2 = FiniteGL(2, 3).unipotent_class_sizes()
         assert sizes2 == {(2,): 8, (1, 1): 1}
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("n,p", SUPPORTED)
+    def test_generators_generate_the_group(self, n, p):
+        # the orbit under conjugation by the generators is then the class
+        G = FiniteGL(n, p)
+        ident = jordan_matrix((1,) * n, n, p)
+        gens = [s for s, _ in generators(n, p)]
+        for s, s_inv in generators(n, p):
+            assert G.mul(s, s_inv) == ident
+        closure = set(gens)
+        frontier = list(gens)
+        while frontier:
+            c = frontier.pop()
+            for s in gens:
+                d = G.mul(c, s)
+                if d not in closure:
+                    closure.add(d)
+                    frontier.append(d)
+        assert closure == set(G.elements)
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+    def test_orbit_count_matches_group_scan(self, n, p):
+        G = FiniteGL(n, p)
+        for comp in _compositions(n):
+            for u in partitions(n):
+                for vs in product(*[partitions(s) for s in comp]):
+                    assert G.hc_two_var(comp, u, vs) == _hc_two_var_by_scan(
+                        G, comp, u, vs
+                    ), (comp, u, vs)
 
 
 class TestCharacters:
