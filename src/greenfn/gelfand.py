@@ -17,13 +17,6 @@ consistent with the specialization L = G of the sum.  The normalization
 constant of the associated Whittaker-type functional is
 
     y(G) = q^{-rk_ss G} |Z^0(G)^F|^{-1}.
-
-The Mackey-type consistency check for a cuspidal pair compares
-
-    lhs = |Z(L)/Z^0(L)|^2 |W_G(L)| |Z^0(L)^F|
-    rhs = |W_G(L)| * (lhs with G replaced by L)
-
-and reports both sides along with their equality.
 """
 
 from __future__ import annotations
@@ -40,20 +33,13 @@ from .rootdata import (
 )
 
 
-def _center_component_order(G: RootDatumF) -> int:
-    out = 1
-    for d in G.center_component_group().invariants:
-        out *= d
-    return out
-
-
 def induced_gg_norm(G: RootDatumF, L: LeviDatum) -> QPoly:
     """<Ind_L^G Gamma_L, Ind_L^G Gamma_L> as a polynomial in q."""
     T = G.levi(())
     coset_g = relative_weyl_group(G, T)
     coset_l = relative_weyl_group(L.as_datum(), L.as_datum().levi(()))
     fusion = class_fusion(coset_l, coset_g)
-    z_sq = _center_component_order(L.as_datum()) ** 2
+    z_sq = L.as_datum().center_component_group().order ** 2
     total = RatFunc(0)
     for wi, wcls in enumerate(coset_l.classes):
         big_idx, inter = fusion[wi]
@@ -73,7 +59,7 @@ def induced_gg_norm(G: RootDatumF, L: LeviDatum) -> QPoly:
 
 def gg_norm(G: RootDatumF) -> QPoly:
     """<Gamma_G, Gamma_G> = |Z/Z^0|^2 |Z^0(G)^F| q^{rk_ss G}."""
-    z_sq = _center_component_order(G) ** 2
+    z_sq = G.center_component_group().order ** 2
     return G.central_torus_order() * QPoly.q(G.ss_rank) * QPoly([z_sq])
 
 
@@ -81,13 +67,3 @@ def y_norm(G: RootDatumF) -> RatFunc:
     """The Whittaker normalization y(G) = q^{-rk_ss G} |Z^0(G)^F|^{-1}."""
     return RatFunc(1) / RatFunc(G.central_torus_order() * QPoly.q(G.ss_rank))
 
-
-def cuspidal_mackey_check(G: RootDatumF, L: LeviDatum):
-    """Return (lhs, rhs, lhs == rhs) for the cuspidal-pair consistency law."""
-    w_rel = relative_weyl_group(G, L).order
-    z_sq = _center_component_order(L.as_datum()) ** 2
-    z_fixed = torus_fixed_order(L)
-    lhs = z_fixed * QPoly([z_sq * w_rel])
-    # with G replaced by L the relative group is trivial
-    rhs = z_fixed * QPoly([z_sq]) * QPoly([w_rel])
-    return lhs, rhs, lhs == rhs

@@ -30,10 +30,16 @@ character of the full unipotent radical, gives the scalar-product oracle
 <Gamma, Gamma>, again summed over each unipotent class with multiplicity
 |C_G(u)|.
 
-Classical one-variable Green polynomials are recovered from Hall-Littlewood
-symmetric functions: p_mu = sum_lam X^lam_mu(t) P_lam(x; t) and
+Classical one-variable Green polynomials come from Kostka-Foulkes
+polynomials, computed by the Lascoux-Schützenberger charge statistic:
+K_{nu,lam}(t) = sum_T t^{charge(T)} over the semistandard tableaux T of
+shape nu and content lam, and
 
-    Q^lam_mu(q) = q^{n(lam)} X^lam_mu(q^{-1}).
+    Q^lam_mu(q) = q^{n(lam)} sum_nu chi^nu(mu) K_{nu,lam}(q^{-1})
+
+(Macdonald, Symmetric Functions and Hall Polynomials, III.6-7).  This uses
+only tableau combinatorics and the Murnaghan-Nakayama rule, never the
+Lusztig-Shoji solver it certifies.
 """
 
 from __future__ import annotations
@@ -44,9 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iter_product
 
-import sympy
-
-from .characters import partitions
+from .characters import mn_character, partitions
 from .cyclo import CycQ
 from .qpoly import QPoly
 from .springer import n_of_partition, transpose_partition
@@ -590,51 +594,84 @@ def _levi_irreducibles(composition, q):
 
 
 # ---------------------------------------------------------------------------
-# classical Green polynomials via Hall-Littlewood symmetrization
+# classical Green polynomials via Kostka-Foulkes charge
+
+
+def _horizontal_strips(lengths, shape, k, i=0):
+    """Row increments adding k boxes to the row lengths as a horizontal
+    strip inside shape."""
+    if i == len(shape):
+        if k == 0:
+            yield ()
+        return
+    room = shape[i] - lengths[i]
+    if i:
+        room = min(room, lengths[i - 1] - lengths[i])
+    for a in range(min(room, k) + 1):
+        for rest in _horizontal_strips(lengths, shape, k - a, i + 1):
+            yield (a,) + rest
+
+
+def _tableaux(shape, content):
+    """Semistandard tableaux of the given shape and content, as row tuples:
+    the boxes holding each letter form a horizontal strip."""
+    tableaux = [tuple(() for _ in shape)]
+    for letter, k in enumerate(content, 1):
+        tableaux = [
+            tuple(r + (letter,) * a for r, a in zip(rows, strip))
+            for rows in tableaux
+            for strip in _horizontal_strips([len(r) for r in rows], shape, k)
+        ]
+    return tableaux
+
+
+def _charge(word) -> int:
+    """Lascoux-Schützenberger charge of a word of partition content.
+
+    Each standard subword takes 1, 2, ... in turn, scanning leftwards from
+    the right end and cycling back to the right end when needed.  Its index
+    starts at 0 and goes up by one at each cycling back; the charge is the
+    sum of the indices over all subwords (see Macdonald III.6).
+    """
+    word = list(word)
+    total = 0
+    while word:
+        picked = []
+        pos, index, letter = len(word), 0, 1
+        while letter in word:
+            left = [p for p in range(pos) if word[p] == letter]
+            if left:
+                pos = left[-1]
+            else:
+                pos = max(p for p, x in enumerate(word) if x == letter)
+                index += 1
+            total += index
+            picked.append(pos)
+            letter += 1
+        word = [x for p, x in enumerate(word) if p not in picked]
+    return total
 
 
 @lru_cache(maxsize=None)
-def _hall_littlewood_basis(n: int):
-    """Monomial coefficient vectors of P_lam(x_1..x_n; t) for lam |- n."""
-    xs = sympy.symbols(f"x0:{n}")
-    t = sympy.Symbol("t")
-    from itertools import permutations
-    from sympy import cancel, factorial, prod
-
-    def v_factor(lam):
-        mults = {}
-        padded = tuple(lam) + (0,) * (n - len(lam))
-        for part in padded:
-            mults[part] = mults.get(part, 0) + 1
-        out = sympy.Integer(1)
-        for m in mults.values():
-            phi = sympy.Integer(1)
-            for i in range(1, m + 1):
-                phi *= (1 - t**i) / (1 - t)
-            out *= phi
-        return out
-
-    basis = {}
-    for lam in partitions(n):
-        padded = tuple(lam) + (0,) * (n - len(lam))
-        total = sympy.Integer(0)
-        for w in permutations(range(n)):
-            term = prod(xs[w[i]] ** padded[i] for i in range(n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    term *= (xs[w[i]] - t * xs[w[j]]) / (xs[w[i]] - xs[w[j]])
-            total += term
-        poly = sympy.expand(cancel(total / v_factor(lam)))
-        coeffs = {}
-        for mono, c in sympy.Poly(poly, *xs).as_dict().items():
-            coeffs[mono] = sympy.expand(c)
-        basis[lam] = coeffs
-    return basis, xs, t
+def kostka_foulkes(nu: tuple, lam: tuple) -> QPoly:
+    """K_{nu,lam}(t), as a QPoly in t: the sum of t^charge over the
+    semistandard tableaux of shape nu and content lam, each read row by row
+    from the bottom, left to right."""
+    if sum(nu) != sum(lam):
+        raise ValueError("partitions have different sizes")
+    coeffs = [0] * (n_of_partition(lam) + 1)
+    for rows in _tableaux(nu, lam):
+        coeffs[_charge(x for row in reversed(rows) for x in row)] += 1
+    return QPoly(coeffs)
 
 
 @lru_cache(maxsize=None)
 def green_polynomial(lam: tuple, mu: tuple) -> QPoly:
-    """Q^lam_mu(q), the classical Green polynomial of GL_n.
+    """Q^lam_mu(q), the classical Green polynomial of GL_n:
+
+        Q^lam_mu(q) = q^{n(lam)} sum_nu chi^nu(mu) K_{nu,lam}(q^{-1})
+
+    (Macdonald III.7), with chi^nu(mu) by the Murnaghan-Nakayama rule.
 
     >>> from greenfn.qpoly import render_poly
     >>> render_poly(green_polynomial((1, 1), (1, 1)))
@@ -643,30 +680,10 @@ def green_polynomial(lam: tuple, mu: tuple) -> QPoly:
     n = sum(lam)
     if sum(mu) != n:
         raise ValueError("partitions have different sizes")
-    basis, xs, t = _hall_littlewood_basis(n)
-    power = sympy.Integer(1)
-    for k in mu:
-        power *= sum(x**k for x in xs)
-    target = sympy.Poly(sympy.expand(power), *xs).as_dict()
-    # unitriangular change of basis: P_lam = m_lam + lower terms, so peel off
-    # leading monomials in dominance (here: reverse-lex partition) order
-    coeffs = {}
-    remaining = dict(target)
-    for lam2 in partitions(n):
-        padded = tuple(lam2) + (0,) * (n - len(lam2))
-        c = sympy.expand(remaining.get(padded, sympy.Integer(0)))
-        coeffs[lam2] = c
-        if c != 0:
-            for mono, val in basis[lam2].items():
-                new = sympy.expand(remaining.get(mono, sympy.Integer(0)) - c * val)
-                remaining[mono] = new
-    if any(sympy.expand(v) != 0 for v in remaining.values()):
-        raise OracleError("power sum did not reduce in the Hall-Littlewood basis")
-    x_poly = sympy.Poly(sympy.expand(coeffs[lam]), t)
-    qs = sympy.Symbol("q")
-    expr = sympy.expand(qs ** n_of_partition(lam) * x_poly.as_expr().subs(t, 1 / qs))
-    out = sympy.Poly(expr, qs)
-    vals = [0] * (sympy.degree(out, qs) + 1)
-    for (e,), c in out.as_dict().items():
-        vals[e] = Fraction(int(sympy.nsimplify(c)))
-    return QPoly(vals)
+    top = n_of_partition(lam)
+    coeffs = [0] * (top + 1)
+    for nu in partitions(n):
+        chi = mn_character(nu, mu)
+        for c, k in enumerate(kostka_foulkes(nu, lam).coeffs):
+            coeffs[top - c] += chi * k
+    return QPoly(coeffs)

@@ -15,6 +15,7 @@ centre with its F-action.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -204,9 +205,7 @@ class RootDatumF:
         simple_coroots,
         twist: Mat | None = None,
         label: str = "",
-        weyl_order_hint: int | None = None,
         degree_data=None,
-        q_residues=None,
         gl_size: int | None = None,
     ):
         self.rank = rank
@@ -214,9 +213,7 @@ class RootDatumF:
         self.simple_coroots = tuple(tuple(v) for v in simple_coroots)
         self.twist = twist if twist is not None else identity_mat(rank)
         self.label = label
-        self.weyl_order_hint = weyl_order_hint
         self.degree_data = degree_data  # optional tuple of (degree, sign)
-        self.q_residues = q_residues
         self.gl_size = gl_size  # set for GL_n and its Levis
         self._validate()
 
@@ -394,12 +391,6 @@ class LeviDatum:
             label=f"{G.label}|{''.join(map(str, self.subset))}",
             gl_size=gl,
         )
-
-    @property
-    def center_dim(self) -> int:
-        return self.parent.rank - _rank_of_vectors(
-            [self.parent.simple_roots[i] for i in self.subset]
-        ) if self.subset else self.parent.rank
 
     def codimension_even(self) -> bool:
         return (self.parent.dimension - self.as_datum().dimension) % 2 == 0
@@ -614,10 +605,7 @@ def _detect_structure(G, L0, elements, classes):
     dih = _dihedral_structure(elements, classes)
     if dih is not None:
         return dih
-    cyc = _cyclic_structure(elements, classes)
-    if cyc is not None:
-        return cyc
-    return None, None, None
+    return _cyclic_structure(elements, classes)
 
 
 def _gl_block_structure(G, L0, elements, classes):
@@ -677,7 +665,7 @@ def _gl_block_structure(G, L0, elements, classes):
     for orbit in orbits:
         if len({sizes[i] for i in orbit}) != 1:
             return None
-    if len(elements) != _prod(_factorial(len(o)) for o in orbits):
+    if len(elements) != math.prod(math.factorial(len(o)) for o in orbits):
         return None
     labels = []
     for cls in classes:
@@ -792,23 +780,7 @@ def _cyclic_structure(elements, classes):
             for cls in classes:
                 labels.append(f"g{min(powers[e] for e in cls.elements)}")
             return ("cyclic", order, g), tuple(labels), None
-    if all(mat_mul_int(a, b) == mat_mul_int(b, a) for a in elements for b in elements):
-        return None, None, None
     return None, None, None
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +801,7 @@ class CenterComponents:
 
     @property
     def order(self) -> int:
-        return _prod(self.invariants)
+        return math.prod(self.invariants)
 
     def fixed_count(self, q: int) -> int:
         """|(Z/Z^0)^F| for a specific prime power q (F acts by q*phi)."""
@@ -849,11 +821,6 @@ class CenterComponents:
             if all(img[i] == vec[i] for i in range(len(vec))):
                 count += 1
         return count
-
-    def h1_count(self, q: int) -> int:
-        """|H^1(F, Z/Z^0)|, equal to the number of F-fixed points for a
-        finite abelian group."""
-        return self.fixed_count(q)
 
 
 def _center_components(datum: RootDatumF) -> CenterComponents:
@@ -1004,12 +971,8 @@ TWISTED_SIGNS = {
     ("E", 6): {5: -1, 9: -1},
 }
 
-WEYL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600}
-
 DIAGRAM_FLIPS = {
     ("E", 6): {0: 5, 5: 0, 2: 4, 4: 2, 1: 1, 3: 3},
-    ("A", None): None,  # computed as i -> n-1-i
-    ("D", None): None,  # swap last two nodes
 }
 
 
@@ -1060,9 +1023,6 @@ def cartan_type(spec: str) -> RootDatumF:
         degs = DEGREES[(family, n)]
         signs = TWISTED_SIGNS.get((family, n), {}) if twisted else {}
         datum.degree_data = tuple((d, signs.get(d, 1)) for d in degs)
-        datum.weyl_order_hint = WEYL_ORDERS[(family, n)]
-    if twisted and family == "E":
-        datum.q_residues = None
     return datum
 
 

@@ -398,6 +398,23 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
+def _is_rational_json(value) -> bool:
+    return _has_type(value, str) or _has_type(value, int)
+
+
+def _is_cyclotomic_json(value) -> bool:
+    """The forms CycQ.from_json reads: a rational as str or int, or an object
+    with an int 'conductor' and a list 'coeffs' of rationals."""
+    if isinstance(value, dict):
+        coeffs = value.get("coeffs")
+        return (
+            _has_type(value.get("conductor"), int)
+            and isinstance(coeffs, list)
+            and all(map(_is_rational_json, coeffs))
+        )
+    return _is_rational_json(value)
+
+
 def _check_pack_schema(document):
     """Reject a document without the shape load_pack reads."""
     if not isinstance(document, dict):
@@ -430,6 +447,12 @@ def _check_pack_schema(document):
                     raise DataPackRequired(
                         f"pack {section}[{i}] {key!r} must be {expected}, not {value!r}"
                     )
+            bad = [v for v in entry.get("chi", ()) if not _is_cyclotomic_json(v)]
+            if bad:
+                raise DataPackRequired(
+                    f"pack {section}[{i}] 'chi' item {bad[0]!r} must be str, int or "
+                    "an object with int 'conductor' and list 'coeffs'"
+                )
 
 
 def load_pack(document) -> SpringerTable:

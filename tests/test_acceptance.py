@@ -19,6 +19,7 @@ from greenfn.oracle import FiniteGL, green_polynomial
 from greenfn.qpoly import QPoly, RatFunc, parse_phi_string, render_poly
 from greenfn.rootdata import gl
 from greenfn.springer import (
+    gl_block_sizes,
     gl_levi_class_label,
     gl_levi_springer,
     gl_springer,
@@ -34,16 +35,6 @@ def all_subsets(n):
     for mask in range(2 ** (n - 1)):
         out.append(tuple(i for i in range(n - 1) if mask >> i & 1))
     return out
-
-
-def composition_of(n, subset):
-    sizes = []
-    start = 0
-    for i in sorted(set(range(n - 1)) - set(subset)):
-        sizes.append(i + 1 - start)
-        start = i + 1
-    sizes.append(n - start)
-    return tuple(sizes)
 
 
 def test_criterion_1_cross_path_all_levis_under_10s():
@@ -64,7 +55,7 @@ def test_criterion_2_oracle_exactness(n, p):
     tG = gl_springer(n)
     FG = FiniteGL(n, p)
     for subset in all_subsets(n):
-        comp = composition_of(n, subset)
+        comp = gl_block_sizes(n, subset)
         engine = TwoVarEngine(tG, tG.group.levi(subset))
         for u in partitions(n):
             for vs in product(*[partitions(s) for s in comp]):
@@ -77,7 +68,7 @@ def test_criterion_2_oracle_exactness(n, p):
         assert time.monotonic() - start < 60.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_criterion_3_classical_green_polynomials(n):
     """The one-variable functions are the classical Green polynomials."""
     sol = lusztig_shoji_solve(gl_springer(n), 0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from greenfn.gelfand import cuspidal_mackey_check, gg_norm, induced_gg_norm, y_norm
+from greenfn.gelfand import gg_norm, induced_gg_norm, y_norm
 from greenfn.oracle import FiniteGL
 from greenfn.qpoly import QPoly, RatFunc
 from greenfn.rootdata import gl
@@ -42,21 +42,6 @@ class TestInvariants:
         assert induced_gg_norm(G, G.levi((0,))) == (2 * q - 1) * (q - 1) ** 2
         assert induced_gg_norm(G, G.levi((1,))) == (2 * q - 1) * (q - 1) ** 2
         assert gg_norm(G) == q**2 * (q - 1)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_mackey_check(self, n):
-        G = gl(n)
-        for subset in [(), tuple(range(n - 1))]:
-            lhs, rhs, equal = cuspidal_mackey_check(G, G.levi(subset))
-            assert equal
-            assert lhs == rhs
-
-    def test_mackey_gl3_values(self):
-        G = gl(3)
-        lhs, rhs, equal = cuspidal_mackey_check(G, G.levi((0,)))
-        # [DERIVED] |W_G(L)| = 1, |Z^0(L)^F| = (q-1)^2 for GL2 x GL1
-        assert lhs == (q - 1) ** 2
-        assert equal
 
 
 class TestOracleMatch:

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from greenfn.oracle import (
     green_polynomial,
     jordan_matrix,
     jordan_type,
+    kostka_foulkes,
 )
 from greenfn.qpoly import QPoly
 
@@ -184,3 +185,59 @@ class TestGreenPolynomials:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             green_polynomial((2,), (1, 1, 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_value_at_one_counts_fixed_tabloids(self, n):
+        # [TRIVIAL] Q^lam_mu(1) is the permutation character of S_n on
+        # lam-tabloids, at a permutation of cycle type mu
+        for lam in partitions(n):
+            tabloids = {_tabloid(order, lam) for order in permutations(range(n))}
+            for mu in partitions(n):
+                perm = _permutation_of_type(mu)
+                fixed = sum(
+                    all(frozenset(perm[i] for i in row) == row for row in t)
+                    for t in tabloids
+                )
+                assert green_polynomial(lam, mu).evaluate(1) == CycQ(fixed)
+
+
+def _tabloid(order, lam):
+    rows, start = [], 0
+    for part in lam:
+        rows.append(frozenset(order[start : start + part]))
+        start += part
+    return tuple(rows)
+
+
+def _permutation_of_type(mu):
+    perm, start = [], 0
+    for k in mu:
+        perm += [start + (i + 1) % k for i in range(k)]
+        start += k
+    return perm
+
+
+class TestKostkaFoulkes:
+    @pytest.mark.parametrize(
+        "nu,lam,powers",
+        [
+            # Macdonald, Symmetric Functions and Hall Polynomials, tables of
+            # K(t) at the end of III.6
+            ((4,), (1, 1, 1, 1), [6]),
+            ((3, 1), (1, 1, 1, 1), [3, 4, 5]),
+            ((2, 2), (1, 1, 1, 1), [2, 4]),
+            ((2, 1, 1), (1, 1, 1, 1), [1, 2, 3]),
+            ((3, 1), (2, 1, 1), [1, 2]),
+            ((4,), (2, 2), [2]),
+            # content with a repeated part below the first: these fix the
+            # direction in which each standard subword is extracted
+            ((4, 1), (2, 2, 1), [2, 3]),
+            ((3, 1, 1), (2, 2, 1), [1]),
+        ],
+    )
+    def test_reference_values(self, nu, lam, powers):
+        assert kostka_foulkes(nu, lam) == sum((q**k for k in powers), QPoly())
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            kostka_foulkes((2,), (1, 1, 1))

@@ -99,6 +99,8 @@ class TestTorusOrders:
         G = gl(3)
         assert torus_fixed_order(G.levi((0,))) == (q - 1) ** 2
         assert G.central_torus_order() == q - 1
+        # [DERIVED] |W_G(L)| = 1 for GL2 x GL1
+        assert relative_weyl_group(G, G.levi((0,))).order == 1
 
 
 class TestRelativeWeylGroups:
@@ -211,7 +213,7 @@ class TestCenter:
         cc3 = cartan_type("A2sc").center_component_group()
         assert cc3.fixed_count(4) == 3
         assert cc3.fixed_count(2) == 1
-        assert cc3.h1_count(4) == 3
+        assert cc3.fixed_count(7) == 3
 
     def test_twisted_center_action(self):
         # 2A2: the twist inverts mu_3, so F = q*phi fixes all of mu_3 when
