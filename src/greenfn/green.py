@@ -36,6 +36,7 @@ and must come out in Z[q].
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,16 +173,13 @@ def _lambda_target(table: SpringerTable, gamma, kappa) -> RatFunc:
     if gamma.class_label != kappa.class_label:
         return RatFunc(0)
     cls = table.unipotent_class(gamma.class_label)
-    a_order = 1
-    for d in cls.component_group:
-        a_order *= d
     total = RatFunc(0)
     for ai in range(len(cls.f_classes)):
         term = RatFunc(cls.c0_order) * (gamma.chi[ai] * kappa.chi[ai].conjugate())
         total = total + term
     return (
         total
-        * RatFunc(QPoly([Fraction(1, a_order)]))
+        * RatFunc(QPoly([Fraction(1, math.prod(cls.component_group))]))
         * RatFunc.q_power(-2 * gamma.c_value)
     )
 
@@ -237,6 +235,17 @@ def lusztig_shoji_solve(
     )
     _verify(solution, phi_gram)
     return solution
+
+
+def solved_block(
+    table: SpringerTable, block_id: int, reverse_ties: bool = False
+) -> BlockSolution:
+    """The table's solution of a block, solved and verified on first use and
+    then kept by the table, so every caller in the process shares it."""
+    key = (block_id, reverse_ties)
+    if key not in table.solutions:
+        table.solutions[key] = lusztig_shoji_solve(table, block_id, reverse_ties)
+    return table.solutions[key]
 
 
 def _p_matrix(basis, expansions):
@@ -321,16 +330,21 @@ def green_table(sol: BlockSolution):
     return tuple(one_var_green(sol, w) for w in range(len(sol.coset.classes)))
 
 
+def solved_green_table(table: SpringerTable, block_id: int):
+    """green_table of the table's kept solution (``solved_block``), assembled
+    once and kept by the table."""
+    if block_id not in table.green_tables:
+        table.green_tables[block_id] = green_table(solved_block(table, block_id))
+    return table.green_tables[block_id]
+
+
 # ---------------------------------------------------------------------------
 # orthogonality suite
 
 
 def unipotent_centralizer_order(table: SpringerTable, cls, a_index: int) -> QPoly:
     """|C(u_a)^F| = |C^0(u_a)^F| * |A(u)^F| for abelian A with trivial action."""
-    a_order = 1
-    for d in cls.component_group:
-        a_order *= d
-    return cls.c0_order * QPoly([a_order])
+    return cls.c0_order * QPoly([math.prod(cls.component_group)])
 
 
 def green_orthogonality(table: SpringerTable, block_id: int, sol=None):
@@ -339,12 +353,15 @@ def green_orthogonality(table: SpringerTable, block_id: int, sol=None):
     sum_u |C(u)^F|^{-1} Q_{wF}(u) conj(Q_{w'F}(u))
         = delta_{wF ~ w'F} |C_W(wF)| / |Z^0(L0)^{wF}|.
 
-    Returns True; raises SolverError with the offending pair otherwise.
+    Checks the table's kept solution unless ``sol`` is given.  Returns True;
+    raises SolverError with the offending pair otherwise.
     """
-    sol = sol or lusztig_shoji_solve(table, block_id)
+    if sol is None:
+        sol, greens = solved_block(table, block_id), solved_green_table(table, block_id)
+    else:
+        greens = green_table(sol)
     coset = sol.coset
     L0 = table.block_levi(block_id)
-    greens = green_table(sol)
     for wi, wcls in enumerate(coset.classes):
         for wj, wcls2 in enumerate(coset.classes):
             total = RatFunc(0)

@@ -579,7 +579,10 @@ def parse_phi_string(text: str) -> QPoly:
                 break
             if tok[0] == "slash":
                 take()
-                out = out * QPoly([Fraction(1, parse_int())])
+                divisor = parse_int()
+                if divisor == 0:
+                    raise PhiParseError("division by zero")
+                out = out * QPoly([Fraction(1, divisor)])
                 break
             saw_factor = True
             if tok[0] == "int":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .linalg import determinant, solve_linear
@@ -108,11 +109,15 @@ class TwistedCoset:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _class_index(self) -> dict:
+        return {w: i for i, cls in enumerate(self.classes) for w in cls.elements}
+
     def class_index_of(self, w: Mat) -> int:
-        for i, cls in enumerate(self.classes):
-            if w in cls.elements:
-                return i
-        raise KeyError("element not in coset group")
+        try:
+            return self._class_index[w]
+        except KeyError:
+            raise KeyError("element not in coset group") from None
 
 
 def _twisted_classes(elements, sigma):

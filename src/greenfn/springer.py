@@ -17,13 +17,16 @@ Numerology for GL_n (lambda' the transpose partition, m_i multiplicities):
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as _iter_product
 
 from .characters import DataPackRequired, character_table, partitions
-from .cyclo import CycQ
-from .qpoly import QPoly, parse_phi_string, render_poly
+from .cyclo import CycQ, totient
+from .qpoly import PhiParseError, QPoly, parse_phi_string, render_poly
 from .rootdata import LeviDatum, RootDatumF, cartan_type, gl, relative_weyl_group
 
 
@@ -70,7 +73,13 @@ class Block:
 
 
 class SpringerTable:
-    """Everything the Green-function solver needs about one group."""
+    """Everything the Green-function solver needs about one group.
+
+    A table also keeps what is derived from it, each built on first use:
+    coset and character tables here, the tables of its standard Levis
+    (``twovar.levi_springer_table``), and the solved blocks and their Green
+    tables (``green.solved_block``, ``green.solved_green_table``).
+    """
 
     def __init__(self, group: RootDatumF, classes, systems, blocks, induced_map=None):
         self.group = group
@@ -81,6 +90,9 @@ class SpringerTable:
         self._by_label = {c.label: c for c in self.classes}
         self._cosets = {}
         self._char_tables = {}
+        self.levi_tables = {}  # (subset, twist_element) -> SpringerTable
+        self.solutions = {}  # (block_id, reverse_ties) -> BlockSolution
+        self.green_tables = {}  # block_id -> green_table of solutions[block_id, False]
         _validate_table(self)
 
     # -- lookups -------------------------------------------------------------
@@ -110,11 +122,7 @@ class SpringerTable:
 
     def centralizer_order(self, label: str) -> QPoly:
         cls = self.unipotent_class(label)
-        out = cls.c0_order
-        a_order = 1
-        for d in cls.component_group:
-            a_order *= d
-        return out * QPoly([a_order])
+        return cls.c0_order * QPoly([math.prod(cls.component_group)])
 
     def class_size(self, label: str) -> QPoly:
         return self.group.group_order().exact_div(self.centralizer_order(label))
@@ -151,10 +159,8 @@ def _validate_table(table: SpringerTable):
             raise DataPackRequired(
                 f"class {c.label}: dimension + centralizer degree != dim G"
             )
-        n_tw = 1
-        for d in c.component_group:
-            n_tw *= d  # abelian A(u) with trivial F-action: one class per element
-        if len(c.f_classes) != n_tw:
+        # abelian A(u) with trivial F-action: one class per element
+        if len(c.f_classes) != math.prod(c.component_group):
             raise DataPackRequired(
                 f"class {c.label}: F-class count does not match |H^1(F, A(u))|"
             )
@@ -244,8 +250,12 @@ def gl_centralizer_order(lam) -> QPoly:
     return quo
 
 
+@functools.lru_cache(maxsize=None)
 def gl_springer(n: int) -> SpringerTable:
-    """The full Springer table of GL_n: one principal block over the torus."""
+    """The full Springer table of GL_n: one principal block over the torus.
+
+    One table per n is shared by the whole process, so what it keeps (solved
+    blocks, Levi tables) is computed once."""
     G = gl(n)
     parts = partitions(n)
     classes = []
@@ -399,17 +409,29 @@ def _has_type(value, kind) -> bool:
 
 
 def _is_rational_json(value) -> bool:
-    return _has_type(value, str) or _has_type(value, int)
+    """An int, or a str that Fraction reads as a finite rational."""
+    if _has_type(value, int):
+        return True
+    if not _has_type(value, str):
+        return False
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
 
 
 def _is_cyclotomic_json(value) -> bool:
     """The forms CycQ.from_json reads: a rational as str or int, or an object
-    with an int 'conductor' and a list 'coeffs' of rationals."""
+    with an int 'conductor' c >= 1 and a list 'coeffs' of at most phi(c)
+    rationals, the coordinates CycQ.to_json emits."""
     if isinstance(value, dict):
-        coeffs = value.get("coeffs")
+        conductor, coeffs = value.get("conductor"), value.get("coeffs")
         return (
-            _has_type(value.get("conductor"), int)
+            _has_type(conductor, int)
+            and conductor >= 1
             and isinstance(coeffs, list)
+            and len(coeffs) <= totient(conductor)
             and all(map(_is_rational_json, coeffs))
         )
     return _is_rational_json(value)
@@ -450,8 +472,9 @@ def _check_pack_schema(document):
             bad = [v for v in entry.get("chi", ()) if not _is_cyclotomic_json(v)]
             if bad:
                 raise DataPackRequired(
-                    f"pack {section}[{i}] 'chi' item {bad[0]!r} must be str, int or "
-                    "an object with int 'conductor' and list 'coeffs'"
+                    f"pack {section}[{i}] 'chi' item {bad[0]!r} must be a rational "
+                    "(int or str) or an object with int 'conductor' c >= 1 and a "
+                    "list 'coeffs' of at most phi(c) rationals"
                 )
 
 
@@ -462,7 +485,13 @@ def load_pack(document) -> SpringerTable:
     _check_pack_schema(document)
     group = cartan_type(document["group"])
     classes = []
-    for c in document["classes"]:
+    for i, c in enumerate(document["classes"]):
+        try:
+            c0_order = parse_phi_string(c["c0_order"])
+        except PhiParseError as exc:
+            raise DataPackRequired(
+                f"pack classes[{i}] 'c0_order' {c['c0_order']!r}: {exc}"
+            ) from exc
         classes.append(
             UnipotentClass(
                 label=c["label"],
@@ -470,7 +499,7 @@ def load_pack(document) -> SpringerTable:
                 below=frozenset(c["below"]),
                 component_group=tuple(int(d) for d in c.get("component_group", ())),
                 f_classes=tuple(c.get("f_classes", ("1",))),
-                c0_order=parse_phi_string(c["c0_order"]),
+                c0_order=c0_order,
             )
         )
     systems = []

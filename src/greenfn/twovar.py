@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DataPackRequired, induce, inner_product
-from .green import SolverError, green_table as one_var_table, lusztig_shoji_solve
+from .green import SolverError, solved_block, solved_green_table
 from .linalg import mat_inverse, mat_mul
 from .qpoly import QPoly, RatFunc, render_poly
 from .rootdata import LeviDatum, class_fusion, torus_fixed_order
@@ -51,19 +52,17 @@ def _split_label(x):
 
 
 def levi_springer_table(tG: SpringerTable, L: LeviDatum) -> SpringerTable:
-    """The Springer table of the Levi L, reusing tG when L is all of G."""
+    """The Springer table of the Levi L, reusing tG when L is all of G.
+
+    tG keeps the table of each standard Levi it builds."""
     if tuple(sorted(L.subset)) == tuple(range(len(tG.group.simple_roots))):
         return tG
-    if tG.group.gl_size is not None:
-        return gl_levi_springer(L)
-    raise DataPackRequired("Levi Springer table: data pack required outside GL_n")
-
-
-def _component_order(cls) -> int:
-    out = 1
-    for d in cls.component_group:
-        out *= d
-    return out
+    if tG.group.gl_size is None:
+        raise DataPackRequired("Levi Springer table: data pack required outside GL_n")
+    key = (L.subset, L.twist_element)
+    if key not in tG.levi_tables:
+        tG.levi_tables[key] = gl_levi_springer(L)
+    return tG.levi_tables[key]
 
 
 class _BlockPair:
@@ -72,28 +71,33 @@ class _BlockPair:
     def __init__(self, tG, tL, L, block_l: int, block_g: int):
         self.tG, self.tL, self.L = tG, tL, L
         self.block_l, self.block_g = block_l, block_g
-        self.sol_l = lusztig_shoji_solve(tL, block_l)
-        self.sol_g = lusztig_shoji_solve(tG, block_g)
+        self.sol_l = solved_block(tL, block_l)
+        self.sol_g = solved_block(tG, block_g)
         self.coset_l = tL.block_coset(block_l)
         self.coset_g = tG.block_coset(block_g)
         self.fusion = class_fusion(self.coset_l, self.coset_g)
-        self.greens_l = one_var_table(self.sol_l)
-        self.greens_g = one_var_table(self.sol_g)
+        self.greens_l = solved_green_table(tL, block_l)
+        self.greens_g = solved_green_table(tG, block_g)
+        # block-sum weight of each twisted class wF of W_L(L0):
+        # |Z^0(L0)^{wF}| * |wF-class| / |W_L(L0)|
+        L0 = tL.block_levi(block_l)
+        self.weights = tuple(
+            torus_fixed_order(L0, wcls.rep)
+            * QPoly([Fraction(wcls.size, self.coset_l.order)])
+            for wcls in self.coset_l.classes
+        )
         self._rtilde = None
 
     # -- block-sum route -----------------------------------------------------
 
     def blocksum_term(self, u_label, u_a, v_label, v_a) -> RatFunc:
-        L0 = self.tL.block_levi(self.block_l)
         total = RatFunc(0)
-        for wi, wcls in enumerate(self.coset_l.classes):
+        for wi, weight in enumerate(self.weights):
             qg = self.greens_g[self.fusion[wi][0]].values.get((u_label, u_a))
             ql = self.greens_l[wi].values.get((v_label, v_a))
             if qg is None or ql is None:
                 continue
-            zw = torus_fixed_order(L0, wcls.rep)
-            weight = QPoly([Fraction(wcls.size, self.coset_l.order)])
-            total = total + RatFunc(qg.conjugate() * ql * zw * weight)
+            total = total + RatFunc(qg.conjugate() * ql * weight)
         return total
 
     # -- R-matrix route ------------------------------------------------------
@@ -227,7 +231,7 @@ class TwoVarEngine:
             total = total + pair.rmatrix_term(ul, ua, vl, va)
         cls_v = self.tL.unipotent_class(vl)
         denom = RatFunc(
-            self.tL.class_size(vl) * QPoly([_component_order(cls_v)])
+            self.tL.class_size(vl) * QPoly([math.prod(cls_v.component_group)])
         )
         return total / denom
 
@@ -312,7 +316,7 @@ def green_two_var_table(tG: SpringerTable, L: LeviDatum) -> GreenTable:
                 raise SolverError(
                     f"entry ({u}, {v}): |v^L| * Q = {poly} is not rational"
                 )
-            a_order = _component_order(tL.unipotent_class(v[0]))
+            a_order = math.prod(tL.unipotent_class(v[0]).component_group)
             if not (poly * QPoly([a_order])).has_integer_coeffs():
                 raise SolverError(
                     f"entry ({u}, {v}): |v^L| |A(v)| Q is not in Z[q]"

@@ -149,6 +149,11 @@ class TestPacks:
             ("systems", "block", 0.5),
             ("blocks", "id", "0"),
             ("blocks", "levi_subset", 0),
+            ("systems", "chi", ["1/0"]),
+            ("classes", "c0_order", "1/0"),
+            ("systems", "chi", [{"conductor": -3, "coeffs": ["1"]}]),
+            ("systems", "chi", [{"conductor": 0, "coeffs": ["0", "1"]}]),
+            ("systems", "chi", [{"conductor": 3, "coeffs": ["1", "2", "3", "4"]}]),
         ],
     )
     def test_validate_rejects_value_type(self, capsys, tmp_path, section, key, value):
@@ -160,6 +165,30 @@ class TestPacks:
         assert code == EXIT_DATA
         assert out == ""
         assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("systems", "chi", ["1/0"]), ("classes", "c0_order", "1/0")],
+    )
+    def test_validate_rejects_zero_denominator(
+        self, capsys, tmp_path, section, key, value
+    ):
+        doc = export_pack(gl_springer(2))
+        doc[section][0][key] = value
+        target = tmp_path / "zero.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "pack-validate", str(target))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"error: pack {section}[0] {key!r}")
+
+    def test_validate_accepts_cyclotomic_chi(self, capsys, tmp_path):
+        # phi(3) = 2 coordinates, and fewer are padded with zeros
+        doc = export_pack(gl_springer(2))
+        doc["systems"][0]["chi"] = [{"conductor": 3, "coeffs": ["1"]}]
+        target = tmp_path / "cyclo.json"
+        target.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "pack-validate", str(target))
+        assert code == EXIT_OK and out.startswith("pack OK")
 
     def test_validate_missing_file(self, capsys):
         code, _, _ = run(capsys, "pack-validate", "/nonexistent/pack.json")

@@ -10,6 +10,7 @@ from greenfn.cyclo import CycQ, cyclotomic_int_coeffs, totient
 from greenfn.linalg import determinant, identity, mat_inverse, mat_mul, solve_linear
 from greenfn.qpoly import (
     FactorizationRefused,
+    PhiParseError,
     QPoly,
     RatFunc,
     parse_phi_string,
@@ -110,6 +111,13 @@ class TestCycQ:
     @settings(max_examples=60, deadline=None)
     def test_json_round_trip(self, a):
         assert CycQ.from_json(a.to_json()) == a
+
+    def test_json_short_coordinates_are_padded(self):
+        # omitted coordinates are zeros: the result is the canonical element
+        short = CycQ.from_json({"conductor": 5, "coeffs": ["1", "2"]})
+        full = CycQ.from_json({"conductor": 5, "coeffs": ["1", "2", "0", "0"]})
+        assert short == full and hash(short) == hash(full)
+        assert short == 1 + 2 * CycQ.zeta(5)
 
     @given(rationals, rationals)
     @settings(max_examples=100, deadline=None)
@@ -256,6 +264,10 @@ class TestPhiDisplay:
         assert render_poly(QPoly([1, 1])) == "Phi2"
         assert render_poly(QPoly()) == "0"
         assert render_poly(QPoly([Fraction(-2, 3)])) == "-2/3"
+
+    def test_parser_rejects_zero_divisor(self):
+        with pytest.raises(PhiParseError, match="division by zero"):
+            parse_phi_string("1/0")
 
     def test_parser_accepts_bare_sums(self):
         assert parse_phi_string("4q+1") == QPoly([1, 4])

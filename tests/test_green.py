@@ -12,6 +12,8 @@ from greenfn.green import (
     green_table,
     lusztig_shoji_solve,
     one_var_green,
+    solved_block,
+    solved_green_table,
 )
 from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import (
@@ -110,24 +112,67 @@ class TestLeviBlocks:
         assert greens[0]("1,1") == QPoly([1])
 
 
+class TestReuse:
+    def test_one_table_per_n(self):
+        assert gl_springer(3) is gl_springer(3)
+        assert gl_springer(3) is not gl_springer(2)
+
+    def test_block_solved_once_per_table(self):
+        table = gl_springer(3)
+        sol = solved_block(table, 0)
+        assert solved_block(table, 0) is sol
+        assert table.solutions[(0, False)] is sol
+        assert solved_green_table(table, 0) is solved_green_table(table, 0)
+        alt = solved_block(table, 0, reverse_ties=True)
+        assert alt is not sol and solved_block(table, 0, True) is alt
+
+    def test_kept_solution_matches_a_fresh_solve(self):
+        table = gl_springer(3)
+        fresh = lusztig_shoji_solve(table, 0)
+        kept = solved_block(table, 0)
+        assert fresh is not kept
+        assert (fresh.basis, fresh.expansions) == (kept.basis, kept.expansions)
+        assert green_table(fresh) == solved_green_table(table, 0)
+
+    def test_orthogonality_defaults_to_the_kept_solution(self):
+        table = gl_springer(3)
+        assert green_orthogonality(table, 0)
+        assert table.solutions[(0, False)] is solved_block(table, 0)
+
+
+def corrupted_gl2():
+    """GL2's table with the centralizer of class 2 replaced by q(q+1): same
+    degree, wrong polynomial (q(q-1) is right)."""
+    table = gl_springer(2)
+    bad = UnipotentClass(
+        label="2",
+        dimension=table.unipotent_class("2").dimension,
+        below=table.unipotent_class("2").below,
+        component_group=(),
+        f_classes=("1",),
+        c0_order=q * (q + 1),
+    )
+    classes = tuple(bad if c.label == "2" else c for c in table.classes)
+    return SpringerTable(table.group, classes, table.systems, table.blocks)
+
+
 class TestFailureModes:
     def test_corrupted_centralizer_is_caught(self):
-        table = gl_springer(2)
-        # same degree, wrong polynomial: q(q+1) instead of q(q-1)
-        bad = UnipotentClass(
-            label="2",
-            dimension=table.unipotent_class("2").dimension,
-            below=table.unipotent_class("2").below,
-            component_group=(),
-            f_classes=("1",),
-            c0_order=q * (q + 1),
-        )
-        classes = tuple(
-            bad if c.label == "2" else c for c in table.classes
-        )
-        broken = SpringerTable(table.group, classes, table.systems, table.blocks)
         with pytest.raises(SolverError):
-            lusztig_shoji_solve(broken, 0)
+            lusztig_shoji_solve(corrupted_gl2(), 0)
+
+    def test_corrupted_table_is_caught_after_reuse(self):
+        # the kept solutions belong to the table object, not to its group
+        # label: a corrupted GL2 table solves afresh and fails
+        for n in (2, 3):
+            solved_block(gl_springer(n), 0)
+        broken = corrupted_gl2()
+        assert broken.group.label == gl_springer(2).group.label
+        with pytest.raises(SolverError):
+            solved_block(broken, 0)
+        assert broken.solutions == {}
+        with pytest.raises(SolverError):
+            green_orthogonality(broken, 0)
 
     def test_perturbed_expansion_fails_gram_identity(self):
         table = gl_springer(3)

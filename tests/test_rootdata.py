@@ -157,6 +157,18 @@ class TestRelativeWeylGroups:
         for total, inter in by_big.values():
             assert total == inter
 
+    def test_class_index_of(self):
+        G = gl(4)
+        coset = relative_weyl_group(G, G.levi(()))
+        for i, cls in enumerate(coset.classes):
+            for w in cls.elements:
+                assert coset.class_index_of(w) == i
+        # a Weyl element of GL4 outside W_G(L) for L = GL2 x GL1 x GL1
+        small = relative_weyl_group(G, G.levi((0,)))
+        outside = next(w for w in coset.elements if w not in small.elements)
+        with pytest.raises(KeyError):
+            small.class_index_of(outside)
+
     def test_twisted_classes_2a2(self):
         # order-2 twist of A2: sigma-twisted classes of S3 (three of them)
         G = cartan_type("2A2sc")

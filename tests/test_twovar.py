@@ -2,7 +2,7 @@
 
 import pytest
 
-from greenfn.green import SolverError
+from greenfn.green import SolverError, solved_block
 from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import gl_springer
 from greenfn.twovar import (
@@ -10,6 +10,7 @@ from greenfn.twovar import (
     TwoVarEngine,
     _BlockPair,
     green_two_var_table,
+    levi_springer_table,
     two_var_blocksum,
     two_var_rmatrix,
 )
@@ -131,9 +132,8 @@ class TestSerialization:
         assert issubclass(CrossPathMismatch, ArithmeticError)
 
 
-def test_perturbed_induction_matrix_is_caught(monkeypatch):
-    tG = gl_springer(3)
-    L = tG.group.levi(())
+def perturb_induction_matrix(monkeypatch):
+    """Make every engine from now on add 1 to one induction matrix entry."""
     original = _BlockPair._induction_matrix
 
     def perturbed(self):
@@ -142,5 +142,57 @@ def test_perturbed_induction_matrix_is_caught(monkeypatch):
         return ind
 
     monkeypatch.setattr(_BlockPair, "_induction_matrix", perturbed)
+
+
+def test_perturbed_induction_matrix_is_caught(monkeypatch):
+    tG = gl_springer(3)
+    L = tG.group.levi(())
+    perturb_induction_matrix(monkeypatch)
     with pytest.raises((SolverError, CrossPathMismatch)):
         green_two_var_table(tG, L)
+
+
+def test_perturbed_induction_matrix_is_caught_after_warm_caches(monkeypatch):
+    # a full table first fills every kept solution, Levi table and Green
+    # table; the R-matrix of a new engine is still computed and checked
+    tG = gl_springer(3)
+    L = tG.group.levi(())
+    green_two_var_table(tG, L)
+    perturb_induction_matrix(monkeypatch)
+    with pytest.raises((SolverError, CrossPathMismatch)):
+        green_two_var_table(tG, L)
+
+
+class TestReuse:
+    def test_levi_table_built_once(self):
+        tG = gl_springer(3)
+        G = tG.group
+        tL = levi_springer_table(tG, G.levi((0,)))
+        assert levi_springer_table(tG, G.levi((0,))) is tL
+        assert levi_springer_table(tG, G.levi((1,))) is not tL
+        assert levi_springer_table(tG, G.levi((0, 1))) is tG
+
+    def test_engines_share_solutions(self):
+        tG = gl_springer(3)
+        G = tG.group
+        a = TwoVarEngine(tG, G.levi(()))
+        b = TwoVarEngine(tG, G.levi((0,)))
+        assert a.pairs[0].sol_g is b.pairs[0].sol_g is solved_block(tG, 0)
+        assert TwoVarEngine(tG, G.levi(())).pairs[0].sol_l is a.pairs[0].sol_l
+        assert a.pairs[0].greens_g is b.pairs[0].greens_g
+
+    def test_engines_do_not_share_rtilde(self):
+        tG = gl_springer(3)
+        L = tG.group.levi(())
+        a, b = TwoVarEngine(tG, L).pairs[0], TwoVarEngine(tG, L).pairs[0]
+        assert a.rtilde == b.rtilde and a.rtilde is not b.rtilde
+
+    def test_blocksum_weights(self):
+        # L = GL2 x GL1 in GL3, L0 = T, W_L(T) = S2: the weight of each
+        # class is |T^{wF}| * |class| / 2, so (q-1)^3/2 and (q^2-1)(q-1)/2
+        tG = gl_springer(3)
+        pair = TwoVarEngine(tG, tG.group.levi((0,))).pairs[0]
+        doubled = [2 * w for w in pair.weights]
+        assert len(doubled) == 2
+        assert (q - 1) ** 3 in doubled
+        assert (q * q - 1) * (q - 1) in doubled
