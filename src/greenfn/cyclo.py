@@ -380,11 +380,7 @@ class CycQ:
     def from_json(cls, doc) -> "CycQ":
         if isinstance(doc, (str, int)):
             return cls(Rat(doc))
-        n, coeffs = doc["conductor"], [Rat(c) for c in doc["coeffs"]]
-        if any(coeffs[1:]):
-            # coordinates left out are zeros; a rational needs none of them
-            coeffs += [Rat(0)] * (totient(n) - len(coeffs))
-        return cls._make(n, tuple(coeffs))
+        return cls._make(doc["conductor"], tuple(Rat(c) for c in doc["coeffs"]))
 
 
 def _coerce(value):

@@ -39,6 +39,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .characters import CosetClassFunction, weighted_pairing
 from .linalg import mat_mul, solve_linear
@@ -65,6 +66,11 @@ class BlockSolution:
     @property
     def coset(self):
         return self.table.block_coset(self.block_id)
+
+    @cached_property
+    def greens(self):
+        """green_table of this solution, assembled on first use and kept."""
+        return green_table(self)
 
     def basis_index(self, key):
         for i, s in enumerate(self.basis):
@@ -237,15 +243,12 @@ def lusztig_shoji_solve(
     return solution
 
 
-def solved_block(
-    table: SpringerTable, block_id: int, reverse_ties: bool = False
-) -> BlockSolution:
+def solved_block(table: SpringerTable, block_id: int) -> BlockSolution:
     """The table's solution of a block, solved and verified on first use and
     then kept by the table, so every caller in the process shares it."""
-    key = (block_id, reverse_ties)
-    if key not in table.solutions:
-        table.solutions[key] = lusztig_shoji_solve(table, block_id, reverse_ties)
-    return table.solutions[key]
+    if block_id not in table.solutions:
+        table.solutions[block_id] = lusztig_shoji_solve(table, block_id)
+    return table.solutions[block_id]
 
 
 def _p_matrix(basis, expansions):
@@ -330,14 +333,6 @@ def green_table(sol: BlockSolution):
     return tuple(one_var_green(sol, w) for w in range(len(sol.coset.classes)))
 
 
-def solved_green_table(table: SpringerTable, block_id: int):
-    """green_table of the table's kept solution (``solved_block``), assembled
-    once and kept by the table."""
-    if block_id not in table.green_tables:
-        table.green_tables[block_id] = green_table(solved_block(table, block_id))
-    return table.green_tables[block_id]
-
-
 # ---------------------------------------------------------------------------
 # orthogonality suite
 
@@ -356,10 +351,8 @@ def green_orthogonality(table: SpringerTable, block_id: int, sol=None):
     Checks the table's kept solution unless ``sol`` is given.  Returns True;
     raises SolverError with the offending pair otherwise.
     """
-    if sol is None:
-        sol, greens = solved_block(table, block_id), solved_green_table(table, block_id)
-    else:
-        greens = green_table(sol)
+    sol = sol or solved_block(table, block_id)
+    greens = sol.greens
     coset = sol.coset
     L0 = table.block_levi(block_id)
     for wi, wcls in enumerate(coset.classes):

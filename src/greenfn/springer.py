@@ -77,8 +77,8 @@ class SpringerTable:
 
     A table also keeps what is derived from it, each built on first use:
     coset and character tables here, the tables of its standard Levis
-    (``twovar.levi_springer_table``), and the solved blocks and their Green
-    tables (``green.solved_block``, ``green.solved_green_table``).
+    (``twovar.levi_springer_table``), and the solved blocks
+    (``green.solved_block``), each with its Green table.
     """
 
     def __init__(self, group: RootDatumF, classes, systems, blocks, induced_map=None):
@@ -91,8 +91,7 @@ class SpringerTable:
         self._cosets = {}
         self._char_tables = {}
         self.levi_tables = {}  # (subset, twist_element) -> SpringerTable
-        self.solutions = {}  # (block_id, reverse_ties) -> BlockSolution
-        self.green_tables = {}  # block_id -> green_table of solutions[block_id, False]
+        self.solutions = {}  # block_id -> BlockSolution
         _validate_table(self)
 
     # -- lookups -------------------------------------------------------------
@@ -423,18 +422,24 @@ def _is_rational_json(value) -> bool:
 
 def _is_cyclotomic_json(value) -> bool:
     """The forms CycQ.from_json reads: a rational as str or int, or an object
-    with an int 'conductor' c >= 1 and a list 'coeffs' of at most phi(c)
-    rationals, the coordinates CycQ.to_json emits."""
+    with an int 'conductor' c >= 1 and a list 'coeffs' of rationals, either
+    one (a rational) or the phi(c) coordinates CycQ.to_json emits."""
     if isinstance(value, dict):
         conductor, coeffs = value.get("conductor"), value.get("coeffs")
         return (
             _has_type(conductor, int)
             and conductor >= 1
             and isinstance(coeffs, list)
-            and len(coeffs) <= totient(conductor)
+            and (len(coeffs) == 1 or _is_totient(len(coeffs), conductor))
             and all(map(_is_rational_json, coeffs))
         )
     return _is_rational_json(value)
+
+
+def _is_totient(k: int, c: int) -> bool:
+    """k == phi(c).  phi(c) >= sqrt(c/2), so a c above 2k^2 is rejected before
+    totient's trial division, which would take sqrt(c) steps."""
+    return 2 * k * k >= c and k == totient(c)
 
 
 def _check_pack_schema(document):
@@ -474,7 +479,7 @@ def _check_pack_schema(document):
                 raise DataPackRequired(
                     f"pack {section}[{i}] 'chi' item {bad[0]!r} must be a rational "
                     "(int or str) or an object with int 'conductor' c >= 1 and a "
-                    "list 'coeffs' of at most phi(c) rationals"
+                    "list 'coeffs' of 1 or phi(c) rationals"
                 )
 
 

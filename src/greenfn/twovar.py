@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DataPackRequired, induce, inner_product
-from .green import SolverError, solved_block, solved_green_table
+from .green import SolverError, solved_block
 from .linalg import mat_inverse, mat_mul
 from .qpoly import QPoly, RatFunc, render_poly
 from .rootdata import LeviDatum, class_fusion, torus_fixed_order
@@ -76,8 +76,8 @@ class _BlockPair:
         self.coset_l = tL.block_coset(block_l)
         self.coset_g = tG.block_coset(block_g)
         self.fusion = class_fusion(self.coset_l, self.coset_g)
-        self.greens_l = solved_green_table(tL, block_l)
-        self.greens_g = solved_green_table(tG, block_g)
+        self.greens_l = self.sol_l.greens
+        self.greens_g = self.sol_g.greens
         # block-sum weight of each twisted class wF of W_L(L0):
         # |Z^0(L0)^{wF}| * |wF-class| / |W_L(L0)|
         L0 = tL.block_levi(block_l)

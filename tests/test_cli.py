@@ -154,6 +154,9 @@ class TestPacks:
             ("systems", "chi", [{"conductor": -3, "coeffs": ["1"]}]),
             ("systems", "chi", [{"conductor": 0, "coeffs": ["0", "1"]}]),
             ("systems", "chi", [{"conductor": 3, "coeffs": ["1", "2", "3", "4"]}]),
+            ("systems", "chi", [{"conductor": 5, "coeffs": ["1", "2"]}]),
+            ("systems", "chi", [{"conductor": 3, "coeffs": []}]),
+            ("systems", "chi", [{"conductor": 2**61 - 1, "coeffs": ["1", "2"]}]),
         ],
     )
     def test_validate_rejects_value_type(self, capsys, tmp_path, section, key, value):
@@ -181,10 +184,16 @@ class TestPacks:
         assert (code, out) == (EXIT_DATA, "")
         assert err.startswith(f"error: pack {section}[0] {key!r}")
 
-    def test_validate_accepts_cyclotomic_chi(self, capsys, tmp_path):
-        # phi(3) = 2 coordinates, and fewer are padded with zeros
+    @pytest.mark.parametrize(
+        "chi",
+        [
+            {"conductor": 3, "coeffs": ["1", "0"]},  # phi(3) = 2 coordinates
+            {"conductor": 2**61 - 1, "coeffs": ["1"]},  # a rational: no totient
+        ],
+    )
+    def test_validate_accepts_cyclotomic_chi(self, capsys, tmp_path, chi):
         doc = export_pack(gl_springer(2))
-        doc["systems"][0]["chi"] = [{"conductor": 3, "coeffs": ["1"]}]
+        doc["systems"][0]["chi"] = [chi]
         target = tmp_path / "cyclo.json"
         target.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "pack-validate", str(target))

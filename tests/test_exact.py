@@ -112,13 +112,6 @@ class TestCycQ:
     def test_json_round_trip(self, a):
         assert CycQ.from_json(a.to_json()) == a
 
-    def test_json_short_coordinates_are_padded(self):
-        # omitted coordinates are zeros: the result is the canonical element
-        short = CycQ.from_json({"conductor": 5, "coeffs": ["1", "2"]})
-        full = CycQ.from_json({"conductor": 5, "coeffs": ["1", "2", "0", "0"]})
-        assert short == full and hash(short) == hash(full)
-        assert short == 1 + 2 * CycQ.zeta(5)
-
     @given(rationals, rationals)
     @settings(max_examples=100, deadline=None)
     def test_rational_fast_path_matches_fraction(self, x, y):

@@ -13,7 +13,6 @@ from greenfn.green import (
     lusztig_shoji_solve,
     one_var_green,
     solved_block,
-    solved_green_table,
 )
 from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import (
@@ -121,10 +120,8 @@ class TestReuse:
         table = gl_springer(3)
         sol = solved_block(table, 0)
         assert solved_block(table, 0) is sol
-        assert table.solutions[(0, False)] is sol
-        assert solved_green_table(table, 0) is solved_green_table(table, 0)
-        alt = solved_block(table, 0, reverse_ties=True)
-        assert alt is not sol and solved_block(table, 0, True) is alt
+        assert table.solutions[0] is sol
+        assert sol.greens is sol.greens
 
     def test_kept_solution_matches_a_fresh_solve(self):
         table = gl_springer(3)
@@ -132,12 +129,12 @@ class TestReuse:
         kept = solved_block(table, 0)
         assert fresh is not kept
         assert (fresh.basis, fresh.expansions) == (kept.basis, kept.expansions)
-        assert green_table(fresh) == solved_green_table(table, 0)
+        assert green_table(fresh) == kept.greens
 
     def test_orthogonality_defaults_to_the_kept_solution(self):
         table = gl_springer(3)
         assert green_orthogonality(table, 0)
-        assert table.solutions[(0, False)] is solved_block(table, 0)
+        assert table.solutions[0] is solved_block(table, 0)
 
 
 def corrupted_gl2():
