@@ -47,9 +47,6 @@ class CosetClassFunction:
     def __call__(self, class_index: int):
         return self.values[class_index]
 
-    def value_at(self, w):
-        return self.values[self.coset.class_index_of(w)]
-
     def __add__(self, other):
         _same_coset(self, other)
         return CosetClassFunction(

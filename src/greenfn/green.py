@@ -72,12 +72,6 @@ class BlockSolution:
         """green_table of this solution, assembled on first use and kept."""
         return green_table(self)
 
-    def basis_index(self, key):
-        for i, s in enumerate(self.basis):
-            if s.key == key:
-                return i
-        raise KeyError(key)
-
     def qtilde_value(self, i: int, w_class: int) -> RatFunc:
         """Qt_{basis[i]} evaluated at the twisted class w_class of the coset."""
         chars = _block_characters(self.table, self.block_id, self.basis)
@@ -355,18 +349,20 @@ def green_orthogonality(table: SpringerTable, block_id: int, sol=None):
     greens = sol.greens
     coset = sol.coset
     L0 = table.block_levi(block_id)
+    inverse_orders = {
+        (cls.label, a_label): RatFunc(1) / RatFunc(unipotent_centralizer_order(table, cls, ai))
+        for cls in table.classes
+        for ai, a_label in enumerate(cls.f_classes)
+    }
     for wi, wcls in enumerate(coset.classes):
         for wj, wcls2 in enumerate(coset.classes):
             total = RatFunc(0)
-            for cls in table.classes:
-                for ai, a_label in enumerate(cls.f_classes):
-                    qa = greens[wi].values.get((cls.label, a_label))
-                    qb = greens[wj].values.get((cls.label, a_label))
-                    if qa is None or qb is None:
-                        continue
-                    total = total + RatFunc(qa * qb.conjugate()) / RatFunc(
-                        unipotent_centralizer_order(table, cls, ai)
-                    )
+            for key, inverse_order in inverse_orders.items():
+                qa = greens[wi].values.get(key)
+                qb = greens[wj].values.get(key)
+                if qa is None or qb is None:
+                    continue
+                total = total + RatFunc(qa * qb.conjugate()) * inverse_order
             if wi == wj:
                 expect = RatFunc(QPoly([wcls.centralizer_order])) / RatFunc(
                     torus_fixed_order(L0, wcls.rep)

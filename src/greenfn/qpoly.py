@@ -6,6 +6,13 @@ RatFunc is a reduced fraction of two QPoly with monic denominator.  There is
 no floating point anywhere: all arithmetic is exact, and an identity between
 polynomials is only ever accepted coefficient-wise.
 
+The denominators of Green-function computations are products
+q^k * prod Phi_d^{e_d}.  A RatFunc with rational numerator keeps such a
+denominator as its exponents and reduces by trial division by the Phi_d
+present, which is complete because each Phi_d is irreducible over Q.  A
+numerator with non-rational coefficients (over Q(zeta) a Phi_d can split) or
+a denominator with another factor takes the Euclidean gcd, QPoly.gcd.
+
 The module also implements the Phi-factorized display used for Green-function
 tables: a polynomial with rational coefficients is split into a rational
 scalar, a power of q, cyclotomic-polynomial factors Phi_n (n up to a
@@ -20,8 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from .cyclo import CycQ, Rat, cyclotomic_int_coeffs
+from .cyclo import CycQ, Rat, cyclotomic_int_coeffs, divisors, totient
 
 DEFAULT_PHI_BOUND = 30
 
@@ -69,9 +78,6 @@ class QPoly:
 
     def constant(self) -> CycQ:
         return self.coeffs[0] if self.coeffs else CycQ(0)
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == CycQ(1)
@@ -278,17 +284,36 @@ def RatScalar(c: CycQ) -> QPoly:
 
 
 class RatFunc:
-    """A reduced rational function num/den in q with monic denominator."""
+    """A reduced rational function num/den in q with monic denominator.
 
-    __slots__ = ("num", "den")
+    While num has rational coefficients and den = q^k * prod Phi_d^{e_d},
+    ``_fac`` holds (k, ((d, e_d), ...)) with ascending d, and arithmetic works
+    on that factorization: a product adds exponents, a sum takes the lcm, and
+    common factors are found by trial division by the Phi_d present.  Over Q
+    each Phi_d is irreducible, so this reduces completely.  Otherwise
+    ``_fac`` is None and the Euclidean gcd (``QPoly.gcd``) reduces num/den:
+    over Q(zeta) a Phi_d can split, e.g. (q - zeta_3)/Phi3 = 1/(q - zeta_3^2),
+    and a denominator can keep a factor that is no Phi_d.
+    """
+
+    __slots__ = ("num", "den", "_fac")
 
     def __init__(self, num, den=1):
         num = _coerce_poly(num)
         den = _coerce_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        rational = num.has_rational_coeffs()
+        if den.is_one():
+            self.num, self.den, self._fac = num, den, ((0, ()) if rational else None)
+            return
+        split = _phi_split(den) if rational else None
+        if split is not None:
+            c, k, exps = split
+            self.num, self.den, self._fac = _reduce(num, k, dict(exps), dict(exps), 1 / c)
+            return
         if num.is_zero():
-            self.num, self.den = QPoly(), QPoly([1])
+            self.num, self.den, self._fac = QPoly(), QPoly([1]), (0, ())
             return
         g = num.gcd(den)
         if not g.is_one():
@@ -296,13 +321,21 @@ class RatFunc:
         lead_inv = den.leading().inverse()
         self.num = num * RatScalar(lead_inv)
         self.den = den * RatScalar(lead_inv)
+        split = _phi_split(self.den) if rational else None
+        self._fac = None if split is None else split[1:]
+
+    @classmethod
+    def _factored(cls, num: QPoly, k: int, exps: dict, cancel, scale=1) -> "RatFunc":
+        """num * scale / (q^k prod Phi_d^exps[d]) for rational num; only q and
+        the Phi_d for d in ``cancel`` can divide num."""
+        self = object.__new__(cls)
+        self.num, self.den, self._fac = _reduce(num, k, exps, cancel, scale)
+        return self
 
     @classmethod
     def q_power(cls, k: int) -> "RatFunc":
         """q^k for any integer k, including negative."""
-        if k >= 0:
-            return cls(QPoly.q(k))
-        return cls(1, QPoly.q(-k))
+        return cls._factored(QPoly([1]), -k, {}, ())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -319,12 +352,30 @@ class RatFunc:
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        if self._fac is None or other._fac is None:
+            return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        (ka, ea), (kb, eb) = self._fac, other._fac
+        if self._fac == other._fac:
+            return RatFunc._factored(self.num + other.num, ka, dict(ea), dict(ea))
+        ea, eb = dict(ea), dict(eb)
+        k, exps = max(ka, kb), {d: max(ea.get(d, 0), eb.get(d, 0)) for d in ea.keys() | eb.keys()}
+        num = self.num * _den_poly(k - ka, _quotient(exps, ea)) + other.num * _den_poly(
+            k - kb, _quotient(exps, eb)
+        )
+        # a reduced num is prime to its own den, so only a Phi_d with equal
+        # exponents on both sides can divide the sum
+        return RatFunc._factored(num, k, exps, [d for d, e in ea.items() if eb.get(d) == e])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        out = object.__new__(RatFunc)
+        out.num, out.den, out._fac = -self.num, self.den, self._fac
+        return out
 
     def __sub__(self, other):
         other = _coerce_rat(other)
@@ -339,7 +390,13 @@ class RatFunc:
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if self._fac is None or other._fac is None:
+            return RatFunc(self.num * other.num, self.den * other.den)
+        (ka, ea), (kb, eb) = self._fac, other._fac
+        exps = dict(ea)
+        for d, e in eb:
+            exps[d] = exps.get(d, 0) + e
+        return RatFunc._factored(self.num * other.num, ka + kb, exps, exps)
 
     __rmul__ = __mul__
 
@@ -349,7 +406,20 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero RatFunc")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        split = None
+        if self._fac is not None and other._fac is not None:
+            split = _phi_split(other.num)
+        if split is None:
+            return RatFunc(self.num * other.den, self.den * other.num)
+        # self / other = self.num * other.den / (self.den * c q^j prod Phi_d^f_d)
+        c, j, f = split
+        (ka, ea), (kb, eb) = self._fac, other._fac
+        exps = dict(ea)
+        for d, e in eb:
+            exps[d] = exps.get(d, 0) - e
+        for d, e in f:
+            exps[d] = exps.get(d, 0) + e
+        return RatFunc._factored(self.num, ka + j - kb, exps, dict(f), 1 / c)
 
     def __rtruediv__(self, other):
         return _coerce_rat(other) / self
@@ -358,6 +428,8 @@ class RatFunc:
         return RatFunc(1) / self
 
     def conjugate(self) -> "RatFunc":
+        if self._fac is not None:
+            return self  # rational coefficients throughout
         return RatFunc(self.num.conjugate(), self.den.conjugate())
 
     def evaluate(self, value) -> CycQ:
@@ -392,6 +464,135 @@ class RatFunc:
     @classmethod
     def from_json(cls, doc) -> "RatFunc":
         return cls(QPoly.from_json(doc["num"]), QPoly.from_json(doc["den"]))
+
+
+# ---------------------------------------------------------------------------
+# factored denominators: integer polynomials, constant term first
+
+
+def _quotient(exps: dict, sub: dict) -> tuple:
+    """The exponents of prod Phi_d^exps[d] / prod Phi_d^sub[d] (sub <= exps)."""
+    return tuple((d, e - sub.get(d, 0)) for d, e in sorted(exps.items()) if e > sub.get(d, 0))
+
+
+def _reduce(num: QPoly, k: int, exps: dict, cancel, scale=1):
+    """num * scale / (q^k prod Phi_d^exps[d]) in lowest terms, for rational num.
+
+    Negative exponents move to the numerator.  Returns (num, den, (k, exps))
+    with exps a sorted tuple.  Only q and the Phi_d for d in ``cancel`` are tried
+    as common factors.  A Phi_d divides num only if Phi_d(2) divides the
+    integer num(2) (num scaled to integer coefficients), which skips most
+    trial divisions that would fail.
+    """
+    low = tuple((d, -e) for d, e in sorted(exps.items()) if e < 0)
+    if k < 0 or low:
+        num = num * _den_poly(max(-k, 0), low)
+        k = max(k, 0)
+    if num.is_zero():
+        return QPoly(), QPoly([1]), (0, ())
+    cs = [c.as_fraction() for c in num.coeffs]
+    if scale != 1:
+        cs = [c * scale for c in cs]
+    z = 0
+    while z < k and not cs[z]:
+        z += 1
+    cs, k = cs[z:], k - z
+    cancel = [d for d in cancel if exps.get(d, 0) > 0]
+    if cancel:
+        common = lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (common // c.denominator) for c in cs]
+        at_two = _at_two(ints)
+        for d in cancel:
+            phi, p = cyclotomic_int_coeffs(d), _phi_at_two(d)
+            while exps[d] and at_two % p == 0:
+                quo = _int_quotient(ints, phi)
+                if quo is None:
+                    break
+                ints, at_two, exps[d] = quo, at_two // p, exps[d] - 1
+        cs = [Fraction(c, common) for c in ints]
+    exps = tuple((d, e) for d, e in sorted(exps.items()) if e > 0)
+    return QPoly(cs), _den_poly(k, exps), (k, exps)
+
+
+@lru_cache(maxsize=4096)
+def _phi_split(poly: QPoly):
+    """(c, k, exps) with poly = c * q^k * prod Phi_d^e_d, exps a sorted tuple
+    of (d, e_d); None if poly has a non-rational coefficient or another
+    factor."""
+    if not poly.has_rational_coeffs():
+        return None
+    cs = [c.as_fraction() for c in poly.coeffs]
+    k = 0
+    while not cs[k]:
+        k += 1
+    c = cs[-1]
+    ints = [x / c for x in cs[k:]]
+    if any(x.denominator != 1 for x in ints):
+        return None  # a product of Phi_d is monic with integer coefficients
+    ints = [int(x) for x in ints]
+    at_two, exps, d = _at_two(ints), [], 1
+    if not at_two:
+        return None  # q - 2 divides it
+    # phi(d) >= sqrt(d) for d > 6, so no Phi_d with d > max(6, deg^2) fits
+    while len(ints) > 1 and d <= max(6, (len(ints) - 1) ** 2):
+        e, p = 0, _phi_at_two(d)
+        while at_two % p == 0 and totient(d) < len(ints):
+            quo = _int_quotient(ints, cyclotomic_int_coeffs(d))
+            if quo is None:
+                break
+            ints, at_two, e = quo, at_two // p, e + 1
+        if e:
+            exps.append((d, e))
+        d += 1
+    return (c, k, tuple(exps)) if len(ints) == 1 else None
+
+
+@lru_cache(maxsize=4096)
+def _den_poly(k: int, exps: tuple) -> QPoly:
+    """q^k * prod Phi_d^e_d."""
+    out = [0] * k + [1]
+    for d, e in exps:
+        phi = cyclotomic_int_coeffs(d)
+        for _ in range(e):
+            prod = [0] * (len(out) + len(phi) - 1)
+            for i, a in enumerate(out):
+                if a:
+                    for j, b in enumerate(phi):
+                        prod[i + j] += a * b
+            out = prod
+    return QPoly(out)
+
+
+@lru_cache(maxsize=None)
+def _phi_at_two(d: int) -> int:
+    """Phi_d(2), from 2^d - 1 = prod over m | d of Phi_m(2)."""
+    out = 2**d - 1
+    for m in divisors(d)[:-1]:
+        out //= _phi_at_two(m)
+    return out
+
+
+def _at_two(ints) -> int:
+    out = 0
+    for c in reversed(ints):
+        out = 2 * out + c
+    return out
+
+
+def _int_quotient(num: list, den) -> list | None:
+    """num / den for integer polynomials with den monic, or None if inexact."""
+    m = len(den) - 1
+    if len(num) <= m:
+        return None
+    rem = list(num)
+    quo = [0] * (len(num) - m)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + m]
+        if c:
+            for j in range(m):
+                if den[j]:
+                    rem[i + j] -= c * den[j]
+    return None if any(rem[:m]) else quo
 
 
 def _coerce_rat(value):

@@ -285,10 +285,6 @@ class RootDatumF:
     def ss_rank(self) -> int:
         return _rank_of_vectors(self.simple_roots)
 
-    @property
-    def central_torus_dim(self) -> int:
-        return self.rank - self.ss_rank
-
     def weyl_elements(self):
         if not hasattr(self, "_weyl"):
             if not self.simple_roots:

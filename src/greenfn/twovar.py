@@ -123,7 +123,12 @@ class _BlockPair:
 
     def _compute_rtilde(self, ind):
         """Rt from the induction matrix ``ind``: R = (B^G * conj I) * (B^L)^-1."""
-        b_l_inv = mat_inverse([list(row) for row in self.sol_l.expansions])
+        try:
+            b_l_inv = mat_inverse([list(row) for row in self.sol_l.expansions])
+        except ValueError as exc:
+            raise SolverError(
+                f"change of basis of Levi block {self.block_l} is not invertible: {exc}"
+            ) from exc
         r = mat_mul(mat_mul(self.sol_g.expansions, ind), b_l_inv)
         out = []
         for i, s_g in enumerate(self.sol_g.basis):
@@ -234,16 +239,6 @@ class TwoVarEngine:
             self.tL.class_size(vl) * QPoly([math.prod(cls_v.component_group)])
         )
         return total / denom
-
-
-def two_var_blocksum(tG: SpringerTable, L: LeviDatum, u, v) -> RatFunc:
-    """Q^G_L(u, v) by the block sum over the relative Weyl coset."""
-    return TwoVarEngine(tG, L).blocksum(u, v)
-
-
-def two_var_rmatrix(tG: SpringerTable, L: LeviDatum, u, v) -> RatFunc:
-    """Q^G_L(u, v) through the R-matrix of the matched blocks."""
-    return TwoVarEngine(tG, L).rmatrix(u, v)
 
 
 # ---------------------------------------------------------------------------

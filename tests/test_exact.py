@@ -52,6 +52,50 @@ def qpolys_cyc(draw, max_degree=3):
     return QPoly(coeffs)
 
 
+@st.composite
+def phi_products(draw, max_factors):
+    """c * q^k * prod Phi_d, with c a nonzero rational."""
+    out = QPoly([draw(rationals.filter(bool))]) * QPoly.q(draw(st.integers(0, 2)))
+    ds = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12])
+    for d in draw(st.lists(ds, max_size=max_factors)):
+        out = out * QPoly.phi(d)
+    return out
+
+
+@st.composite
+def qpolys_in_field(draw, n, max_degree=2):
+    """A polynomial over Q(zeta_n), not always rational."""
+    z = CycQ.zeta(n)
+    coeffs = draw(
+        st.lists(st.tuples(rationals, rationals), min_size=1, max_size=max_degree + 1)
+    )
+    return QPoly([CycQ(a) + CycQ(b) * z for a, b in coeffs])
+
+
+@st.composite
+def phi_fractions(draw, n, max_factors=4):
+    """(num, den): den a Phi product, num a polynomial over Q or over Q(zeta_n)
+    sharing some Phi factors with den.  Over Q(zeta_n) with n in 3, 4, 8, 12
+    some Phi_d split into linear factors."""
+    base = draw(st.one_of(qpolys(max_degree=3), qpolys_in_field(n)))
+    return base * draw(phi_products(max_factors)), draw(phi_products(max_factors))
+
+
+fields = st.sampled_from([3, 4, 8, 12])
+
+
+def reduced(num, den):
+    """Reference reduction: Euclidean gcd, then a monic denominator."""
+    g = num.gcd(den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    scale = QPoly([den.leading().inverse()])
+    return num * scale, den * scale
+
+
+def parts(r):
+    return r.num, r.den
+
+
 # ---------------------------------------------------------------------------
 # CycQ
 
@@ -223,6 +267,64 @@ class TestRatFunc:
     def test_q_power(self):
         assert RatFunc.q_power(-2) * RatFunc.q_power(2) == RatFunc(1)
         assert RatFunc.q_power(3) == RatFunc(QPoly.q(3))
+
+    @given(fields.flatmap(phi_fractions))
+    @settings(max_examples=80, deadline=None)
+    def test_phi_denominator_matches_euclidean_reduction(self, frac):
+        num, den = frac
+        assert parts(RatFunc(num, den)) == reduced(num, den)
+
+    # Q(zeta_3) and Q(i) keep the reference gcds fast; Phi3, Phi6, Phi4 split there
+    @given(
+        st.sampled_from([3, 4]).flatmap(
+            lambda n: st.tuples(*[phi_fractions(n, max_factors=2)] * 3)
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_arithmetic_matches_euclidean_reduction(self, xyz):
+        x, y, z = xyz
+        (n1, d1), (n2, d2), (n3, d3) = x, y, z
+        a, b, c = RatFunc(n1, d1), RatFunc(n2, d2), RatFunc(n3, d3)
+        assert parts(a + b) == reduced(n1 * d2 + n2 * d1, d1 * d2)
+        assert parts(a * b) == reduced(n1 * n2, d1 * d2)
+        if not n2.is_zero():
+            assert parts(a / b) == reduced(n1 * d2, d1 * n2)
+        # divisors whose numerator is a Phi product, cancelling a factor
+        assert parts(a / RatFunc(d3, d2)) == reduced(n1 * d2, d1 * d3)
+        assert parts((a * RatFunc(d3)) / RatFunc(d3, d2)) == reduced(n1 * d2, d1)
+        # a sum whose denominator factors cancel
+        assert parts((c - a) + a) == parts(c)
+
+    def test_cyclotomic_numerator_splits_a_phi(self):
+        # over Q(zeta_3), Phi3 = (q - zeta_3)(q - zeta_3^2)
+        q, z = QPoly.q(), CycQ.zeta(3)
+        expected = (QPoly([1]), q - z * z)
+        assert parts(RatFunc(q - z, QPoly.phi(3))) == expected
+        assert parts(RatFunc(q - z) / RatFunc(QPoly.phi(3))) == expected
+        assert parts(RatFunc(q - z) * RatFunc(1, QPoly.phi(3))) == expected
+        assert parts(RatFunc(q - z, 2 * q) * RatFunc(q, QPoly.phi(3))) == (
+            QPoly([Fraction(1, 2)]),
+            q - z * z,
+        )
+
+    def test_residual_denominator(self):
+        q = QPoly.q()
+        residual = q * q + q - 1
+        r = RatFunc(residual * (q + 1), residual * QPoly.phi(3) * q)
+        assert parts(r) == (q + 1, QPoly.phi(3) * q)
+        s = RatFunc(q + 1, residual * 3)
+        assert parts(s) == reduced(q + 1, residual * 3)
+        assert parts(s * RatFunc(residual, q + 1)) == (QPoly([Fraction(1, 3)]), QPoly([1]))
+        assert parts(RatFunc(1) / s + s) == reduced(
+            9 * residual * residual + (q + 1) * (q + 1), 3 * residual * (q + 1)
+        )
+
+    def test_zero_and_q_powers(self):
+        assert parts(RatFunc(0, QPoly.phi(3) * QPoly.q(2))) == (QPoly(), QPoly([1]))
+        assert parts(RatFunc(QPoly.phi(2), QPoly.phi(3)) * 0) == (QPoly(), QPoly([1]))
+        for k in range(-3, 4):
+            assert RatFunc.q_power(-k) * RatFunc.q_power(k) == RatFunc(1)
+            assert parts(RatFunc.q_power(k) / RatFunc.q_power(k)) == (QPoly([1]), QPoly([1]))
 
     @given(qpolys(max_degree=3))
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from greenfn import twovar
+from greenfn.cli import EXIT_INVARIANT, main
 from greenfn.green import SolverError, solved_block
 from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import gl_springer
@@ -11,8 +13,6 @@ from greenfn.twovar import (
     _BlockPair,
     green_two_var_table,
     levi_springer_table,
-    two_var_blocksum,
-    two_var_rmatrix,
 )
 
 q = QPoly.q()
@@ -109,11 +109,9 @@ class TestGL3Tables:
                     ind = self.tG.unipotent_class(self.tG.induced_class(L, v))
                     assert self.tG.unipotent_class(u).leq(ind)
 
-    def test_wrapper_functions(self):
-        L = self.G.levi((0,))
-        assert two_var_blocksum(self.tG, L, "21", "2,1") == two_var_rmatrix(
-            self.tG, L, "21", "2,1"
-        )
+    def test_blocksum_equals_rmatrix(self):
+        engine = TwoVarEngine(self.tG, self.G.levi((0,)))
+        assert engine.blocksum("21", "2,1") == engine.rmatrix("21", "2,1")
 
 
 class TestSerialization:
@@ -161,6 +159,25 @@ def test_perturbed_induction_matrix_is_caught_after_warm_caches(monkeypatch):
     perturb_induction_matrix(monkeypatch)
     with pytest.raises((SolverError, CrossPathMismatch)):
         green_two_var_table(tG, L)
+
+
+def test_singular_levi_change_of_basis_exits_3(monkeypatch, capsys):
+    # B^L is unitriangular, so only a corrupted solution is singular; the
+    # inverse then fails inside the solver, which is an invariant (exit 3),
+    # not bad input data (exit 2)
+    inverse = twovar.mat_inverse
+
+    def singular_inverse(matrix):
+        zero = matrix[0][0] - matrix[0][0]
+        return inverse(matrix[:-1] + [[zero] * len(matrix)])
+
+    monkeypatch.setattr(twovar, "mat_inverse", singular_inverse)
+    tG = gl_springer(3)
+    with pytest.raises(SolverError, match="not invertible"):
+        green_two_var_table(tG, tG.group.levi((0,)))
+    assert main(["table", "GL3", "--levi", "0"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violated:") and "singular linear system" in err
 
 
 class TestReuse:
