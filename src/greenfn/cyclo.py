@@ -61,17 +61,18 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (dense, constant term first)."""
+def int_poly_quotient(num, den) -> list[int] | None:
+    """num / den for integer polynomials (dense, constant term first) with den
+    monic, or None if den does not divide num."""
     num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
+    out = [0] * max(0, len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] // den[-1]
-        out[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    assert all(c == 0 for c in num), "non-exact polynomial division"
-    return out
+        c = out[i] = num[i + len(den) - 1]
+        if c:
+            for j, d in enumerate(den):
+                if d:
+                    num[i + j] -= c * d
+    return None if any(num) else out
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +88,7 @@ def cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
     poly[0] = -1  # x^n - 1
     for d in divisors(n):
         if d != n:
-            poly = _int_poly_div(poly, list(cyclotomic_int_coeffs(d)))
+            poly = int_poly_quotient(poly, cyclotomic_int_coeffs(d))
     return tuple(poly)
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import CycQ, Rat, cyclotomic_int_coeffs, divisors, totient
+from .cyclo import CycQ, Rat, cyclotomic_int_coeffs, divisors, int_poly_quotient, totient
 
 DEFAULT_PHI_BOUND = 30
 
@@ -505,7 +505,7 @@ def _reduce(num: QPoly, k: int, exps: dict, cancel, scale=1):
         for d in cancel:
             phi, p = cyclotomic_int_coeffs(d), _phi_at_two(d)
             while exps[d] and at_two % p == 0:
-                quo = _int_quotient(ints, phi)
+                quo = int_poly_quotient(ints, phi)
                 if quo is None:
                     break
                 ints, at_two, exps[d] = quo, at_two // p, exps[d] - 1
@@ -537,7 +537,7 @@ def _phi_split(poly: QPoly):
     while len(ints) > 1 and d <= max(6, (len(ints) - 1) ** 2):
         e, p = 0, _phi_at_two(d)
         while at_two % p == 0 and totient(d) < len(ints):
-            quo = _int_quotient(ints, cyclotomic_int_coeffs(d))
+            quo = int_poly_quotient(ints, cyclotomic_int_coeffs(d))
             if quo is None:
                 break
             ints, at_two, e = quo, at_two // p, e + 1
@@ -550,17 +550,10 @@ def _phi_split(poly: QPoly):
 @lru_cache(maxsize=4096)
 def _den_poly(k: int, exps: tuple) -> QPoly:
     """q^k * prod Phi_d^e_d."""
-    out = [0] * k + [1]
+    out = QPoly.q(k)
     for d, e in exps:
-        phi = cyclotomic_int_coeffs(d)
-        for _ in range(e):
-            prod = [0] * (len(out) + len(phi) - 1)
-            for i, a in enumerate(out):
-                if a:
-                    for j, b in enumerate(phi):
-                        prod[i + j] += a * b
-            out = prod
-    return QPoly(out)
+        out = out * QPoly.phi(d) ** e
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -577,22 +570,6 @@ def _at_two(ints) -> int:
     for c in reversed(ints):
         out = 2 * out + c
     return out
-
-
-def _int_quotient(num: list, den) -> list | None:
-    """num / den for integer polynomials with den monic, or None if inexact."""
-    m = len(den) - 1
-    if len(num) <= m:
-        return None
-    rem = list(num)
-    quo = [0] * (len(num) - m)
-    for i in range(len(quo) - 1, -1, -1):
-        c = quo[i] = rem[i + m]
-        if c:
-            for j in range(m):
-                if den[j]:
-                    rem[i + j] -= c * den[j]
-    return None if any(rem[:m]) else quo
 
 
 def _coerce_rat(value):
