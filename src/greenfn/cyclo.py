@@ -89,6 +89,7 @@ def cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
     for d in divisors(n):
         if d != n:
             poly = int_poly_quotient(poly, cyclotomic_int_coeffs(d))
+            assert poly is not None, "non-exact polynomial division"
     return tuple(poly)
 
 

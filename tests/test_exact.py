@@ -96,6 +96,21 @@ def parts(r):
     return r.num, r.den
 
 
+def check_factored(r):
+    """A RatFunc keeps (k, exps) exactly when num is rational and den is
+    q^k * prod Phi_d^exps, as phi_factorize finds them."""
+    expected = None
+    if r.num.has_rational_coeffs() and r.den.has_rational_coeffs():
+        fact = phi_factorize(r.den)
+        if fact.residual == QPoly([1]):
+            expected = (fact.qpow, fact.phis)
+    assert r._fac == expected
+
+
+def conj_reference(num, den):
+    return reduced(num.conjugate(), den.conjugate())
+
+
 # ---------------------------------------------------------------------------
 # CycQ
 
@@ -307,6 +322,47 @@ class TestRatFunc:
             q - z * z,
         )
 
+    def test_gcd_route_leaves_cyclotomic_numerator_unfactored(self):
+        # Phi3 / (q (q - zeta_3)) = (q - zeta_3^2)/q: a rational numerator
+        # over a split denominator reduces to a non-rational one over q
+        q, z = QPoly.q(), CycQ.zeta(3)
+        r = RatFunc(QPoly.phi(3), q * (q - z))
+        assert parts(r) == (q - z * z, q)
+        check_factored(r)
+        assert parts(r.conjugate()) == (q - z, q)
+        s = RatFunc(QPoly.phi(3), q) * RatFunc(1, q - z)
+        assert s == r
+        check_factored(s)
+        assert parts(s + 1) == reduced(q - z * z + q, q)
+        assert parts(s * RatFunc(1, QPoly.phi(2))) == (q - z * z, q * QPoly.phi(2))
+        check_factored(RatFunc(2 * (q - z), q * (q - z)))
+
+    # one operand's denominator has a linear factor q - r over Q(zeta_n), so
+    # the result goes through the gcd and may come out rational or not
+    @given(
+        st.sampled_from([3, 4]).flatmap(
+            lambda n: st.tuples(
+                phi_fractions(n, max_factors=1),
+                phi_fractions(n, max_factors=1),
+                st.integers(0, n - 1).map(lambda j: CycQ.zeta(n, j)),
+            )
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_results_keep_the_invariant(self, xyr):
+        (n1, d1), (n2, d2), root = xyr
+        d2 = d2 * (QPoly.q() - QPoly([root]))
+        a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+        results = [(a * b, n1 * n2, d1 * d2), (a + b, n1 * d2 + n2 * d1, d1 * d2)]
+        if not n2.is_zero():
+            results.append((a / b, n1 * d2, d1 * n2))
+        for r, num, den in results:
+            num, den = reduced(num, den)
+            assert parts(r) == (num, den)
+            check_factored(r)
+            assert parts(r.conjugate()) == conj_reference(num, den)
+            assert parts(r + a) == reduced(num * d1 + n1 * den, den * d1)
+
     def test_residual_denominator(self):
         q = QPoly.q()
         residual = q * q + q - 1
@@ -318,6 +374,13 @@ class TestRatFunc:
         assert parts(RatFunc(1) / s + s) == reduced(
             9 * residual * residual + (q + 1) * (q + 1), 3 * residual * (q + 1)
         )
+
+    def test_sum_over_one_denominator_cancels(self):
+        q, d = QPoly.q(), QPoly.phi(2) * QPoly.phi(3)
+        a, b = RatFunc(q, d), RatFunc(1, d)
+        assert a._fac == b._fac
+        assert parts(a + b) == (QPoly([1]), QPoly.phi(3))
+        assert parts(a - a) == (QPoly(), QPoly([1]))
 
     def test_zero_and_q_powers(self):
         assert parts(RatFunc(0, QPoly.phi(3) * QPoly.q(2))) == (QPoly(), QPoly([1]))
