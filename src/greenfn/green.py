@@ -331,11 +331,6 @@ def green_table(sol: BlockSolution):
 # orthogonality suite
 
 
-def unipotent_centralizer_order(table: SpringerTable, cls, a_index: int) -> QPoly:
-    """|C(u_a)^F| = |C^0(u_a)^F| * |A(u)^F| for abelian A with trivial action."""
-    return cls.c0_order * QPoly([math.prod(cls.component_group)])
-
-
 def green_orthogonality(table: SpringerTable, block_id: int, sol=None):
     """Verify the orthogonality relations of the one-variable functions:
 
@@ -350,9 +345,9 @@ def green_orthogonality(table: SpringerTable, block_id: int, sol=None):
     coset = sol.coset
     L0 = table.block_levi(block_id)
     inverse_orders = {
-        (cls.label, a_label): RatFunc(1) / RatFunc(unipotent_centralizer_order(table, cls, ai))
+        (cls.label, a_label): RatFunc(1) / RatFunc(table.centralizer_order(cls.label))
         for cls in table.classes
-        for ai, a_label in enumerate(cls.f_classes)
+        for a_label in cls.f_classes
     }
     for wi, wcls in enumerate(coset.classes):
         for wj, wcls2 in enumerate(coset.classes):

@@ -16,8 +16,8 @@ the reduced result keeps the factorization only if its numerator is rational.
 
 The module also implements the Phi-factorized display used for Green-function
 tables: a polynomial with rational coefficients is split into a rational
-scalar, a power of q, cyclotomic-polynomial factors Phi_n (n up to a
-configurable bound), and a primitive integer residual, e.g.
+scalar, a power of q, cyclotomic-polynomial factors Phi_n (n up to
+DEFAULT_PHI_BOUND), and a primitive integer residual, e.g.
 
     (4q+1)q^4Phi2^2/3
 
@@ -612,7 +612,7 @@ class FactorizationRefused(ValueError):
     """Raised when a polynomial has non-rational coefficients."""
 
 
-def phi_factorize(poly: QPoly, bound: int = DEFAULT_PHI_BOUND) -> PhiFactorization:
+def phi_factorize(poly: QPoly) -> PhiFactorization:
     """Exact factorization into q-power, cyclotomic factors and residual.
 
     >>> str(phi_factorize(QPoly([1, 1])).phis)
@@ -627,7 +627,7 @@ def phi_factorize(poly: QPoly, bound: int = DEFAULT_PHI_BOUND) -> PhiFactorizati
         qpow += 1
     work = QPoly(poly.coeffs[qpow:])
     phis = []
-    for n in range(1, bound + 1):
+    for n in range(1, DEFAULT_PHI_BOUND + 1):
         phi_n = QPoly.phi(n)
         mult = 0
         while phi_n.divides(work):
@@ -682,10 +682,10 @@ def _pow_token(base: str, k: int, style: str) -> str:
     return f"{base}^{k}" if style == "ascii" else f"{base}^{{{k}}}"
 
 
-def render_poly(poly: QPoly, bound: int = DEFAULT_PHI_BOUND) -> str:
+def render_poly(poly: QPoly) -> str:
     """Phi-factorized rendering, falling back to the raw polynomial."""
     try:
-        return render_phi(phi_factorize(poly, bound))
+        return render_phi(phi_factorize(poly))
     except FactorizationRefused:
         return str(poly)
 

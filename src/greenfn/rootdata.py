@@ -11,6 +11,13 @@ parent group and class fusion is set intersection.  The module provides
 twisted conjugacy classes, relative Weyl groups of Levi subgroups, order
 polynomials of tori / centres / groups, and the component group of the
 centre with its F-action.
+
+Order polynomials come from characteristic polynomials det(q - a) of
+a = w*phi on X.  For a Levi L whose simple roots a permutes,
+|Z^0(L)^{wF}| is det(q - a) divided by the product over the cycles of a on
+those roots of (q^len - 1).  |G^F| follows from the orders |T_w^F| of the
+maximal tori and Steinberg's count q^{2N} of F-stable maximal tori (Carter,
+Finite Groups of Lie Type, 3.3), unless the datum carries a degree table.
 """
 
 from __future__ import annotations
@@ -401,152 +408,70 @@ class LeviDatum:
 # order polynomials
 
 
-def _char_det(a_frac, negate=False):
-    """det(q*A - 1) (or det(1 - q*A)) for a rational matrix A, as a QPoly."""
-    r = len(a_frac)
-    entries = [
-        [
-            QPoly([-(1 if i == j else 0), a_frac[i][j]])
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
-    det = determinant(entries) if r else QPoly([1])
-    if negate and r % 2:
-        det = -det
-    return det
+def _charpoly(a: Mat) -> QPoly:
+    """det(q - a) for an integer matrix a."""
+    r = len(a)
+    if not r:
+        return QPoly([1])
+    return determinant(
+        [[QPoly([-a[i][j], 1 if i == j else 0]) for j in range(r)] for i in range(r)]
+    )
 
 
 def _order_polynomial(datum: RootDatumF) -> QPoly:
-    """|G^F| via the degree table if present, else the twisted Molien sum."""
-    q = QPoly.q()
+    """|G^F| via the degree table if present, else from the maximal tori.
+
+    Steinberg: G^F has q^{2N} F-stable maximal tori, and the torus of type wF
+    has |G^F| / (|T_w^F| |C_{W,F}(w)|) conjugates.  Summing over the twisted
+    classes gives |G^F| = q^{2N} |W| / sum_classes |class| / |T_w^F|, with
+    |T_w^F| = det(q - w*phi).
+    """
     if datum.degree_data is not None:
         out = QPoly.q(datum.n_positive)
         for d, eps in datum.degree_data:
             out = out * (QPoly.q(d) - QPoly([eps]))
         return out
     coset = datum.weyl_coset()
-    n = datum.rank
     total = RatFunc(0)
     for cls in coset.classes:
-        a = mat_mul_int(cls.rep, datum.twist)
-        # det(1 - t*a) as a polynomial in t
-        entries = [
-            [QPoly([(1 if i == j else 0), -a[i][j]]) for j in range(n)]
-            for i in range(n)
-        ]
-        det = determinant(entries) if n else QPoly([1])
-        total = total + RatFunc(QPoly([cls.size]), det)
-    molien = total * RatFunc(QPoly([Fraction(1, coset.order)]))
-    inv = molien.inverse()
-    if not inv.is_polynomial():
-        raise ValueError("Molien series reciprocal is not polynomial")
-    p = inv.as_qpoly()
-    # |G^F| = q^N * q^{deg p} * p(1/q): reverse the coefficients of p
-    rev = QPoly(list(reversed([c for c in p.coeffs])))
-    return rev.shift(datum.n_positive)
+        torus_order = _charpoly(mat_mul_int(cls.rep, datum.twist))
+        total = total + RatFunc(QPoly([cls.size]), torus_order)
+    order = RatFunc(QPoly.q(2 * datum.n_positive) * QPoly([coset.order])) / total
+    if not order.is_polynomial():
+        raise ValueError("group order from the maximal tori is not polynomial")
+    return order.as_qpoly()
 
 
-def _fixed_torus_order(datum: RootDatumF, subset, frob_twist: Mat, extra: Mat | None = None) -> QPoly:
-    """|Z^0(L)^{wF}|: det(q*(w*phi) - 1) on the cocharacter lattice of Z^0,
-    normalized to leading coefficient +1.
+def _fixed_torus_order(datum: RootDatumF, subset, a: Mat) -> QPoly:
+    """|Z^0(L)^{aF}| for the Levi L on the simple roots ``subset``, a = w*phi.
+
+    The span V of L's simple roots is a-stable, and the characters of Z^0(L)
+    span X_Q / V, so det(q - a) on X is |Z^0(L)^{aF}| times det(q - a) on V.
+    a permutes those roots, which are linearly independent, so the latter is
+    the product over the cycles of a on them of (q^len - 1).
     """
-    a = frob_twist if extra is None else mat_mul_int(extra, frob_twist)
-    r = datum.rank
-    a_frac = [[Fraction(a[i][j]) for j in range(r)] for i in range(r)]
-    # action on Y is inverse transpose
-    ay = _frac_inverse_transpose(a_frac)
-    basis = _integer_kernel(
-        [[Fraction(datum.simple_roots[i][j]) for j in range(r)] for i in subset], r
-    )
-    if not basis:
-        return QPoly([1])
-    restricted = _restrict(ay, basis)
-    det = _char_det(restricted)
-    if det.leading().as_fraction() < 0:
-        det = -det
-    if not det.has_integer_coeffs():
-        raise ValueError("torus order polynomial is not integral")
-    return det
+    roots = [datum.simple_roots[i] for i in subset]
+    image = {root: mat_vec(a, root) for root in roots}
+    if set(image.values()) != set(roots):
+        raise ValueError("w*phi does not permute the simple roots of the Levi")
+    out = _charpoly(a)
+    seen = set()
+    for root in roots:
+        length = 0
+        while root not in seen:
+            seen.add(root)
+            root = image[root]
+            length += 1
+        if length:
+            out = out.exact_div(QPoly.q(length) - 1)
+    return out
 
 
 def torus_fixed_order(L0: LeviDatum, w: Mat | None = None) -> QPoly:
     """|Z^0(L0)^{wF}| for w in the relative Weyl group (w = None: w = 1)."""
-    return _fixed_torus_order(
-        L0.parent, L0.subset, L0.frobenius_twist(), extra=w
-    )
-
-
-def _frac_inverse_transpose(a_frac):
-    r = len(a_frac)
-    cols = []
-    for j in range(r):
-        rhs = [Fraction(1 if i == j else 0) for i in range(r)]
-        cols.append(solve_linear([row[:] for row in a_frac], rhs))
-    # inverse has columns cols; transpose of inverse has rows cols
-    return [list(cols[i]) for i in range(r)]
-
-
-def _integer_kernel(rows, ncols):
-    """A basis (over Q) of the common kernel of the given functionals."""
-    pivots = []
-    for row in rows:
-        row = row[:]
-        for pcol, prow in pivots:
-            if row[pcol]:
-                factor = row[pcol]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is not None:
-            pivots.append((lead, [v / row[lead] for v in row]))
-    # back substitution: clear each pivot column from the earlier pivot rows
-    for k in range(len(pivots) - 1, -1, -1):
-        pcol, prow = pivots[k]
-        for k2 in range(k):
-            pcol2, prow2 = pivots[k2]
-            if prow2[pcol]:
-                factor = prow2[pcol]
-                pivots[k2] = (pcol2, [a - factor * b for a, b in zip(prow2, prow)])
-    pivot_cols = {p for p, _ in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for pcol, prow in pivots:
-            vec[pcol] = -prow[free]
-        basis.append(vec)
-    return basis
-
-
-def _restrict(a, basis):
-    """Matrix of the map a on the span of basis, in that basis."""
-    k = len(basis)
-    r = len(basis[0])
-    images = [[sum(a[i][j] * b[j] for j in range(r)) for i in range(r)] for b in basis]
-    # solve basis-matrix * c = image for each image
-    bm = [[basis[t][i] for t in range(k)] for i in range(r)]
-    # overdetermined: use k independent rows
-    rows_used, sub = _independent_rows(bm, k)
-    out = []
-    for img in images:
-        rhs = [img[i] for i in rows_used]
-        out.append(solve_linear([row[:] for row in sub], rhs))
-    # column t of restricted matrix is out[t]
-    return [[out[t][i] for t in range(k)] for i in range(k)]
-
-
-def _independent_rows(bm, k):
-    chosen, rows = [], []
-    for i, row in enumerate(bm):
-        trial = rows + [row]
-        if _rank_of_vectors(trial) == len(trial):
-            chosen.append(i)
-            rows.append(row)
-            if len(rows) == k:
-                return chosen, rows
-    raise ValueError("basis matrix has deficient rank")
+    phi = L0.frobenius_twist()
+    a = phi if w is None else mat_mul_int(w, phi)
+    return _fixed_torus_order(L0.parent, L0.subset, a)
 
 
 # ---------------------------------------------------------------------------

@@ -446,10 +446,11 @@ class TestPhiDisplay:
         fact = phi_factorize(p)
         assert fact.phis == ((12, 1), (18, 1))
         assert fact.residual.is_one()
-        # bound below the factors: they stay in the residual
-        fact2 = phi_factorize(p, bound=10)
+        # Phi_31 lies beyond the display bound: it stays in the residual
+        p31 = QPoly.phi(31)
+        fact2 = phi_factorize(p31)
         assert fact2.phis == ()
-        assert fact2.residual == p
+        assert fact2.residual == p31
 
 
 # ---------------------------------------------------------------------------

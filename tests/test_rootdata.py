@@ -1,15 +1,19 @@
 """Tests for root data: Weyl groups, twisted classes, orders, centres."""
 
+from collections import Counter
+from itertools import combinations
 from math import prod
 
 import pytest
 
 from greenfn.qpoly import QPoly
 from greenfn.rootdata import (
+    _cycle_type_on,
     cartan_type,
     class_fusion,
     gl,
     identity_mat,
+    mat_mul_int,
     relative_weyl_group,
     smith_normal_form,
     torus,
@@ -36,10 +40,10 @@ class TestOrders:
         assert int(gl(n).group_order().evaluate(qq).as_fraction()) == brute_gl_order(n, qq)
 
     def test_classical_orders(self):
-        # [PAPER]-adjacent standard orders, derived via the twisted Molien sum
+        # [PAPER]-adjacent standard orders, derived from the maximal-torus orders
         assert cartan_type("B2sc").group_order() == QPoly.q(4) * (q**2 - 1) * (q**4 - 1)
         assert cartan_type("G2").group_order() == QPoly.q(6) * (q**2 - 1) * (q**6 - 1)
-        # [DERIVED] Molien sum with the order-2 twist of A2: unitary group order
+        # [DERIVED] maximal tori of the order-2 twist of A2: unitary group order
         assert cartan_type("2A2sc").group_order() == QPoly.q(3) * (q**2 - 1) * (q**3 + 1)
         assert (
             cartan_type("2D4ad").group_order()
@@ -102,6 +106,46 @@ class TestTorusOrders:
         # [DERIVED] |W_G(L)| = 1 for GL2 x GL1
         assert relative_weyl_group(G, G.levi((0,))).order == 1
 
+    def test_gl_torus_orders_from_blocks(self):
+        # [DERIVED] Z^0(L0) is one GL1 per block, and w permutes the blocks:
+        # each cycle of length l contributes q^l - 1
+        cases = 0
+        for n in range(2, 6):
+            G = gl(n)
+            for k in range(n):
+                for subset in combinations(range(n - 1), k):
+                    L0 = G.levi(subset)
+                    coset = relative_weyl_group(G, L0)
+                    blocks, _, perms = coset.block_data
+                    for w in coset.elements:
+                        cycles = _cycle_type_on(perms[w], range(len(blocks)))
+                        expect = prod(QPoly.q(length) - 1 for length in cycles)
+                        assert torus_fixed_order(L0, w) == expect
+                        cases += 1
+        assert cases == 208
+
+    @pytest.mark.parametrize(
+        "spec, expect",
+        [
+            # [PAPER]-adjacent: Carter's tables of maximal tori
+            ("B2ad", [(1, 1), (2, 2), (1, 2), (1, 2), (4,)]),
+            ("G2", [(1, 1), (2, 2), (1, 2), (1, 2), (3,), (6,)]),
+            ("2A2sc", [(2, 2), (1, 2), (6,)]),
+        ],
+    )
+    def test_maximal_torus_orders(self, spec, expect):
+        G = cartan_type(spec)
+        T = G.levi(())
+        coset = relative_weyl_group(G, T)
+        got = Counter(torus_fixed_order(T, cls.rep) for cls in coset.classes)
+        assert got == Counter(prod(map(QPoly.phi, ds)) for ds in expect)
+
+    def test_non_normalizing_element_rejected(self):
+        # s_2 maps the Levi's root alpha_1 to alpha_1 + alpha_2
+        G = gl(3)
+        with pytest.raises(ValueError):
+            torus_fixed_order(G.levi((0,)), G.reflection(1))
+
 
 class TestRelativeWeylGroups:
     def test_principal_case(self):
@@ -118,6 +162,13 @@ class TestRelativeWeylGroups:
         coset = relative_weyl_group(G, G.levi((0, 2)))
         assert coset.order == 2
         assert coset.structure == ("symmetric_product", (2,))
+
+    def test_block_structure_on_levi_datum(self):
+        # L0.subset indexes the Levi datum's own roots: index 1 of GL2 x GL2
+        # is e_3 - e_4, so the blocks are (1, 1, 2) and W = S_2 x S_1
+        LD = gl(4).levi((0, 2)).as_datum()
+        coset = relative_weyl_group(LD, LD.levi((1,)))
+        assert coset.structure == ("symmetric_product", (2, 1))
 
     def test_full_levi_trivial(self):
         # [TRIVIAL] N_G(G)/G = 1
@@ -238,10 +289,8 @@ class TestCenter:
     def test_smith_form(self):
         m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
         s, u, v = smith_normal_form(m)
-        import numpy as np
-
-        su = np.array(u) @ np.array(m) @ np.array(v)
-        assert (su == np.array(s)).all()
+        su = mat_mul_int(mat_mul_int(u, m), v)
+        assert su == tuple(map(tuple, s))
         diag = [s[i][i] for i in range(3)]
         assert diag == [2, 2, 156]
         for i in range(2):
