@@ -155,17 +155,6 @@ class CharacterTable:
     def character(self, label) -> CosetClassFunction:
         return self.characters[self.labels.index(label)]
 
-    def to_json(self):
-        return {
-            "labels": [str(l) for l in self.labels],
-            "class_labels": [str(l) for l in self.coset.class_labels]
-            if self.coset.class_labels
-            else None,
-            "values": [
-                [str(v) for v in ch.values] for ch in self.characters
-            ],
-        }
-
 
 def character_table(coset: TwistedCoset) -> CharacterTable:
     """Character table dispatched on the detected structure of the coset.

@@ -24,22 +24,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qpoly import QPoly, RatFunc
-from .rootdata import (
-    LeviDatum,
-    RootDatumF,
-    class_fusion,
-    relative_weyl_group,
-    torus_fixed_order,
-)
+from .rootdata import LeviDatum, RootDatumF, class_fusion, torus_fixed_order
 
 
 def induced_gg_norm(G: RootDatumF, L: LeviDatum) -> QPoly:
     """<Ind_L^G Gamma_L, Ind_L^G Gamma_L> as a polynomial in q."""
     T = G.levi(())
-    coset_g = relative_weyl_group(G, T)
-    coset_l = relative_weyl_group(L.as_datum(), L.as_datum().levi(()))
+    LD = L.as_datum()
+    coset_g = G.relative_coset(T)
+    coset_l = LD.relative_coset(LD.levi(()))
     fusion = class_fusion(coset_l, coset_g)
-    z_sq = L.as_datum().center_component_group().order ** 2
+    z_sq = LD.center_component_group().order ** 2
     total = RatFunc(0)
     for wi, wcls in enumerate(coset_l.classes):
         big_idx, inter = fusion[wi]

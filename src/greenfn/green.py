@@ -43,7 +43,7 @@ from functools import cached_property
 
 from .characters import CosetClassFunction, weighted_pairing
 from .linalg import mat_mul, solve_linear
-from .qpoly import QPoly, RatFunc, render_poly
+from .qpoly import QPoly, RatFunc
 from .rootdata import torus_fixed_order
 from .springer import SpringerTable
 
@@ -80,14 +80,6 @@ class BlockSolution:
             if not coeff.is_zero():
                 total = total + coeff * chars[j].values[w_class]
         return total
-
-    def to_json(self):
-        return {
-            "block": self.block_id,
-            "basis": [list(map(str, s.key)) for s in self.basis],
-            "P": [[render_poly(e) for e in row] for row in self.p_matrix],
-            "Lambda": [[str(e) for e in row] for row in self.lam],
-        }
 
 
 @dataclass(frozen=True)

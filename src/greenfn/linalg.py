@@ -115,8 +115,3 @@ def _exact_div(a, b):
     if hasattr(a, "exact_div"):
         return a.exact_div(b)
     return a / b
-
-
-def identity(n, one):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]

@@ -240,13 +240,6 @@ class QPoly:
     def __repr__(self):
         return f"QPoly({self})"
 
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, doc) -> "QPoly":
-        return cls([CycQ.from_json(c) for c in doc])
-
     # -- rational-coefficient helpers ---------------------------------------
 
     def rational_content(self) -> tuple[Fraction, "QPoly"]:
@@ -464,13 +457,6 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({self})"
 
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, doc) -> "RatFunc":
-        return cls(QPoly.from_json(doc["num"]), QPoly.from_json(doc["den"]))
-
 
 # ---------------------------------------------------------------------------
 # factored denominators: integer polynomials, constant term first
@@ -639,10 +625,10 @@ def phi_factorize(poly: QPoly) -> PhiFactorization:
     return PhiFactorization(content, qpow, tuple(phis), primitive)
 
 
-def render_phi(fact: PhiFactorization, style: str = "ascii") -> str:
+def render_phi(fact: PhiFactorization) -> str:
     """Canonical string for a factorization.
 
-    ascii style examples: "0", "1", "(4q+1)/3", "2qPhi2/3", "(7q^2+2q-2)q/3",
+    Examples: "0", "1", "(4q+1)/3", "2qPhi2/3", "(7q^2+2q-2)q/3",
     "Phi2^4Phi3Phi4Phi6^2Phi8Phi10Phi12Phi18".  The sign is carried by the
     residual when the residual is non-constant, matching table conventions.
     """
@@ -663,10 +649,9 @@ def render_phi(fact: PhiFactorization, style: str = "ascii") -> str:
     if res_token:
         tokens.append(res_token)
     if fact.qpow:
-        tokens.append("q" if fact.qpow == 1 else _pow_token("q", fact.qpow, style))
+        tokens.append("q" if fact.qpow == 1 else f"q^{fact.qpow}")
     for n, mult in fact.phis:
-        base = f"Phi{n}" if style == "ascii" else f"\\Phi_{{{n}}}"
-        tokens.append(base if mult == 1 else _pow_token(base, mult, style))
+        tokens.append(f"Phi{n}" if mult == 1 else f"Phi{n}^{mult}")
     if not tokens:
         tokens.append("1")
     out = "".join(tokens)
@@ -676,10 +661,6 @@ def render_phi(fact: PhiFactorization, style: str = "ascii") -> str:
     if den != 1:
         out += f"/{den}"
     return ("-" if negative else "") + out
-
-
-def _pow_token(base: str, k: int, style: str) -> str:
-    return f"{base}^{k}" if style == "ascii" else f"{base}^{{{k}}}"
 
 
 def render_poly(poly: QPoly) -> str:

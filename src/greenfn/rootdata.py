@@ -228,6 +228,8 @@ class RootDatumF:
         self.degree_data = degree_data  # optional tuple of (degree, sign)
         self.gl_size = gl_size  # set for GL_n and its Levis
         self._validate()
+        self._levi_data = {}  # (subset, twist_element) -> RootDatumF
+        self._cosets = {}  # LeviDatum -> TwistedCoset
 
     # -- construction checks -------------------------------------------------
 
@@ -302,21 +304,16 @@ class RootDatumF:
                 )
         return self._weyl
 
-    def weyl_coset(self) -> TwistedCoset:
-        """The full Weyl group with the twist-induced automorphism."""
-        if not hasattr(self, "_weyl_coset"):
-            elems = self.weyl_elements()
-            tw_inv = mat_inv_int(self.twist)
-            sigma = lambda g: mat_mul_int(mat_mul_int(self.twist, g), tw_inv)
-            self._weyl_coset = TwistedCoset(
-                elems, self.twist, _twisted_classes(elems, sigma)
-            )
-        return self._weyl_coset
-
     # -- Levi subdata ---------------------------------------------------------
 
     def levi(self, subset, twist_element: Mat | None = None) -> "LeviDatum":
         return LeviDatum(self, tuple(sorted(subset)), twist_element)
+
+    def relative_coset(self, L0: "LeviDatum") -> TwistedCoset:
+        """W_G(L0) with its twist (``relative_weyl_group``), built once per L0."""
+        if L0 not in self._cosets:
+            self._cosets[L0] = relative_weyl_group(self, L0)
+        return self._cosets[L0]
 
     # -- order polynomials ----------------------------------------------------
 
@@ -389,19 +386,19 @@ class LeviDatum:
         return phi
 
     def as_datum(self) -> RootDatumF:
+        """L as a root datum of its own, built once per Levi of the parent."""
         G = self.parent
-        gl = G.gl_size
-        return RootDatumF(
-            G.rank,
-            [G.simple_roots[i] for i in self.subset],
-            [G.simple_coroots[i] for i in self.subset],
-            twist=self.frobenius_twist(),
-            label=f"{G.label}|{''.join(map(str, self.subset))}",
-            gl_size=gl,
-        )
-
-    def codimension_even(self) -> bool:
-        return (self.parent.dimension - self.as_datum().dimension) % 2 == 0
+        key = (self.subset, self.twist_element)
+        if key not in G._levi_data:
+            G._levi_data[key] = RootDatumF(
+                G.rank,
+                [G.simple_roots[i] for i in self.subset],
+                [G.simple_coroots[i] for i in self.subset],
+                twist=self.frobenius_twist(),
+                label=f"{G.label}|{''.join(map(str, self.subset))}",
+                gl_size=G.gl_size,
+            )
+        return G._levi_data[key]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +428,7 @@ def _order_polynomial(datum: RootDatumF) -> QPoly:
         for d, eps in datum.degree_data:
             out = out * (QPoly.q(d) - QPoly([eps]))
         return out
-    coset = datum.weyl_coset()
+    coset = datum.relative_coset(datum.levi(()))
     total = RatFunc(0)
     for cls in coset.classes:
         torus_order = _charpoly(mat_mul_int(cls.rep, datum.twist))
@@ -488,8 +485,6 @@ def relative_weyl_group(G: RootDatumF, L0: LeviDatum) -> TwistedCoset:
         if frozenset(mat_vec(w, a) for a in roots_I) == roots_I
     ]
     phi = L0.frobenius_twist()
-    if frozenset(mat_vec(phi, a) for a in roots_I) != roots_I:
-        raise ValueError("Frobenius twist does not stabilize the Levi subset")
     phi_inv = mat_inv_int(phi)
     sigma = lambda g: mat_mul_int(mat_mul_int(phi, g), phi_inv)
     stab_set = set(stab)
@@ -887,6 +882,9 @@ def _e_cartan(n):
     return tuple(tuple(row) for row in a)
 
 
+# the smallest rank each family's Cartan builder accepts (others: 0)
+MIN_RANK = {"B": 2, "C": 2, "D": 3, "E": 4}
+
 DEGREES = {
     ("E", 6): (2, 5, 6, 8, 9, 12),
     ("E", 7): (2, 6, 8, 10, 12, 14, 18),
@@ -928,6 +926,8 @@ def cartan_type(spec: str) -> RootDatumF:
     if text.startswith("2"):
         twisted = True
         text = text[1:]
+    if not text:
+        raise ValueError(f"group label {spec!r} names no Cartan type")
     family = text[0].upper()
     rest = text[1:]
     isogeny = "ad"
@@ -938,6 +938,9 @@ def cartan_type(spec: str) -> RootDatumF:
     n = int(rest)
     if family not in CARTAN_TYPES:
         raise ValueError(f"unsupported Cartan family {family!r}")
+    least = MIN_RANK.get(family, 0)
+    if n < least:
+        raise ValueError(f"type {family}{n} needs rank at least {least}")
     cartan = CARTAN_TYPES[family](n)
     flip = None
     if twisted:

@@ -27,7 +27,7 @@ from itertools import product as _iter_product
 from .characters import DataPackRequired, character_table, partitions
 from .cyclo import CycQ, totient
 from .qpoly import PhiParseError, QPoly, parse_phi_string, render_poly
-from .rootdata import LeviDatum, RootDatumF, cartan_type, gl, relative_weyl_group
+from .rootdata import LeviDatum, RootDatumF, cartan_type, gl
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,10 @@ class SpringerTable:
     """Everything the Green-function solver needs about one group.
 
     A table also keeps what is derived from it, each built on first use:
-    coset and character tables here, the tables of its standard Levis
+    character tables here, the tables of its standard Levis
     (``twovar.levi_springer_table``), and the solved blocks
-    (``green.solved_block``), each with its Green table.
+    (``green.solved_block``), each with its Green table.  The relative Weyl
+    cosets are kept by the group's datum (``RootDatumF.relative_coset``).
     """
 
     def __init__(self, group: RootDatumF, classes, systems, blocks, induced_map=None):
@@ -88,7 +89,6 @@ class SpringerTable:
         self.blocks = tuple(blocks)
         self.induced_map = induced_map  # callable or None
         self._by_label = {c.label: c for c in self.classes}
-        self._cosets = {}
         self._char_tables = {}
         self.levi_tables = {}  # (subset, twist_element) -> SpringerTable
         self.solutions = {}  # block_id -> BlockSolution
@@ -107,11 +107,7 @@ class SpringerTable:
         return self.group.levi(blk.levi_subset)
 
     def block_coset(self, block_id: int):
-        if block_id not in self._cosets:
-            self._cosets[block_id] = relative_weyl_group(
-                self.group, self.block_levi(block_id)
-            )
-        return self._cosets[block_id]
+        return self.group.relative_coset(self.block_levi(block_id))
 
     def block_character_table(self, block_id: int):
         """Character table of the block's relative Weyl coset, built once."""
@@ -399,8 +395,14 @@ _PACK_VALUE_TYPES = {
     "chi": list,
     "levi_subset": list,
     "component_group": list,
+    "f_classes": list,
 }
-_PACK_ITEM_TYPES = {"below": str, "levi_subset": int, "component_group": int}
+_PACK_ITEM_TYPES = {
+    "below": str,
+    "levi_subset": int,
+    "component_group": int,
+    "f_classes": str,
+}
 
 
 def _has_type(value, kind) -> bool:
@@ -508,19 +510,30 @@ def load_pack(document) -> SpringerTable:
             )
         )
     systems = []
-    for s in document["systems"]:
+    for i, s in enumerate(document["systems"]):
         c_raw = s["c"]
-        if int(c_raw) != c_raw:
+        integral = isinstance(c_raw, int) or (
+            isinstance(c_raw, float) and c_raw.is_integer()
+        )
+        if not integral:
             raise DataPackRequired(
-                f"system on {s['class']}: c-value {c_raw!r} is not an integer"
+                f"pack systems[{i}] 'c' must be an integer, not {c_raw!r}"
             )
+        irrep = _irrep_from_json(s["irrep"])
+        try:
+            hash(irrep)
+        except TypeError:
+            raise DataPackRequired(
+                f"pack systems[{i}] 'irrep' must be a label or a list of labels "
+                f"or of lists of labels, not {s['irrep']!r}"
+            ) from None
         systems.append(
             LocalSystem(
                 class_label=s["class"],
                 chi=tuple(CycQ.from_json(v) for v in s["chi"]),
                 block=int(s["block"]),
                 c_value=int(c_raw),
-                irrep=_irrep_from_json(s["irrep"]),
+                irrep=irrep,
                 f_stable=bool(s.get("f_stable", True)),
             )
         )

@@ -1,14 +1,22 @@
 """Tests for the command-line interface."""
 
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenfn
+from greenfn import rootdata
 from greenfn.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -74,6 +82,12 @@ class TestTable:
         code, _, err = run(capsys, "table", "2E6sc")
         assert code == EXIT_DATA
         assert "pack" in err
+
+    @pytest.mark.parametrize("label", ["", " ", "2", "A-1", "B0", "D1", "E3"])
+    def test_label_without_cartan_type(self, capsys, label):
+        code, out, err = run(capsys, "table", label)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestScalarAndVerify:
@@ -157,6 +171,16 @@ class TestPacks:
             ("systems", "chi", [{"conductor": 5, "coeffs": ["1", "2"]}]),
             ("systems", "chi", [{"conductor": 3, "coeffs": []}]),
             ("systems", "chi", [{"conductor": 2**61 - 1, "coeffs": ["1", "2"]}]),
+            ("systems", "c", None),
+            ("systems", "c", [0]),
+            ("systems", "c", {"c": 0}),
+            ("systems", "c", "0"),
+            ("systems", "c", float("inf")),
+            ("systems", "c", float("nan")),
+            ("classes", "f_classes", 5),
+            ("classes", "f_classes", [["1"]]),
+            ("systems", "irrep", {}),
+            ("systems", "irrep", [[[1]]]),
         ],
     )
     def test_validate_rejects_value_type(self, capsys, tmp_path, section, key, value):
@@ -199,6 +223,122 @@ class TestPacks:
         code, out, _ = run(capsys, "pack-validate", str(target))
         assert code == EXIT_OK and out.startswith("pack OK")
 
+    @pytest.mark.parametrize("c", [0, 0.0, False, 2**70])
+    def test_validate_accepts_integral_c(self, capsys, tmp_path, c):
+        doc = export_pack(gl_springer(2))
+        doc["systems"][0]["c"] = c
+        target = tmp_path / "c.json"
+        target.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "pack-validate", str(target))
+        assert code == EXIT_OK and out.startswith("pack OK")
+
+    def test_validate_rejects_empty_group(self, capsys, tmp_path):
+        doc = export_pack(gl_springer(2))
+        doc["group"] = ""
+        target = tmp_path / "empty.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "pack-validate", str(target))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_validate_missing_file(self, capsys):
         code, _, _ = run(capsys, "pack-validate", "/nonexistent/pack.json")
         assert code == EXIT_DATA
+
+
+def test_each_relative_coset_is_built_once(monkeypatch):
+    """verify and scalar share the datum's cosets: no (datum, Levi) twice."""
+    builds = Counter()
+    build = rootdata.relative_weyl_group
+
+    def counted(G, L0):
+        builds[G, L0] += 1
+        return build(G, L0)
+
+    # every binding, so a module that imported the function is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("greenfn") and vars(module).get("relative_weyl_group") is build:
+            monkeypatch.setattr(module, "relative_weyl_group", counted)
+    gl_springer.cache_clear()
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "GL4"]) == EXIT_OK
+        assert main(["scalar", "GL4", "--levi", "0"]) == EXIT_OK
+    assert builds and max(builds.values()) == 1
+    G = gl_springer(4).group
+    for subset in [(), (0,), (0, 2), (0, 1, 2)]:
+        assert G.levi(subset).as_datum() is G.levi(subset).as_datum()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input maps to a documented exit code, with no traceback
+
+_EXIT_CODES = {0, 2, 3, 4}
+
+# digits stop at 3: GL_n above GL3 and long Cartan labels only cost time
+_GROUP_LABELS = st.one_of(
+    st.sampled_from(
+        ["", " ", "2", "GL0", "GL1", "GL2", "GL3", "A-1", "B2ad", "2A3sc", "2E6sc", "F4"]
+    ),
+    st.text(alphabet="ABCDEFGLacds2 0123-", max_size=3),
+)
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(
+    command=st.sampled_from(["table", "scalar", "verify", "oracle-compare", "pack-export"]),
+    group=_GROUP_LABELS,
+    levi=st.text(alphabet="0123,- x", max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_argv_exit_codes(command, group, levi):
+    options = [] if command == "pack-export" else [f"--levi={levi}"]
+    if command == "oracle-compare":
+        options += ["--q", "2"]
+    code, err = _run_quietly([command, *options, "--", group])
+    assert code in _EXIT_CODES
+    assert "Traceback" not in err
+
+
+_GL2_PACK = export_pack(gl_springer(2))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _pack_fields(doc):
+    """(owner, key) of every top-level field and of every field of an entry."""
+    fields = [(doc, key) for key in sorted(doc)]
+    for key in sorted(doc):
+        if isinstance(doc[key], list):
+            fields += [(entry, k) for entry in doc[key] for k in sorted(entry)]
+    return fields
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_pack_field_exit_codes(data):
+    """One field of an exported GL2 pack replaced or deleted."""
+    doc = copy.deepcopy(_GL2_PACK)
+    owner, key = data.draw(st.sampled_from(_pack_fields(doc)))
+    if data.draw(st.booleans()):
+        del owner[key]
+    else:
+        # ranks stay below 10: a long Cartan label only costs time
+        values = _GROUP_LABELS if key == "group" else _JSON_VALUES
+        owner[key] = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pack.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, err = _run_quietly(["pack-validate", path])
+    assert code in _EXIT_CODES
+    assert "Traceback" not in err

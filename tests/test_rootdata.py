@@ -242,11 +242,6 @@ class TestDatumBasics:
         assert G.ss_rank == 2
         assert cartan_type("E6sc").n_positive == 36
 
-    def test_levi_codimension_even(self):
-        G = gl(4)
-        for subset in [(), (0,), (0, 2), (0, 1), (0, 1, 2)]:
-            assert G.levi(subset).codimension_even()
-
     def test_bad_levi_rejected(self):
         G = cartan_type("2A2sc")
         with pytest.raises(ValueError):
