@@ -184,6 +184,8 @@ def character_table(coset: TwistedCoset) -> CharacterTable:
 
 def _is_nontrivially_twisted(coset: TwistedCoset) -> bool:
     tw = coset.twist
+    if tw == identity_mat(len(tw)):
+        return False
     tw_inv = mat_inv_int(tw)
     return any(
         mat_mul_int(mat_mul_int(tw, g), tw_inv) != g for g in coset.elements

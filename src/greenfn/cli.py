@@ -26,7 +26,7 @@ from .gelfand import gg_norm, induced_gg_norm, y_norm
 from .green import SolverError, green_orthogonality
 from .cyclo import CycQ
 from .oracle import FiniteGL, OracleError
-from .qpoly import PhiParseError, render_poly
+from .qpoly import ArithmeticInvariantError, PhiParseError, render_poly
 from .rootdata import cartan_type
 from .springer import (
     export_pack,
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except (CrossPathMismatch, OracleError) as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except SolverError as exc:
+    except (SolverError, ArithmeticInvariantError) as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (DataPackRequired, PhiParseError, OSError, ValueError) as exc:

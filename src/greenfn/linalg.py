@@ -8,7 +8,7 @@ Matrices are lists of lists; nothing here mutates its arguments.
 
 from __future__ import annotations
 
-from .qpoly import QPoly, RatFunc
+from .qpoly import ArithmeticInvariantError, QPoly, RatFunc
 
 
 def _is_zero(x) -> bool:
@@ -19,14 +19,14 @@ def solve_linear(matrix, rhs):
     """Solve matrix @ x = rhs for a square nonsingular matrix.
 
     ``rhs`` is a vector; returns the solution vector in the same coefficient
-    type.  Raises ValueError on a singular matrix.
+    type.  Raises ArithmeticInvariantError on a singular matrix.
     """
     n = len(matrix)
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if not _is_zero(aug[r][col])), None)
         if pivot is None:
-            raise ValueError("singular linear system")
+            raise ArithmeticInvariantError("singular linear system")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = _inverse(aug[col][col])
         aug[col] = [v * inv for v in aug[col]]

@@ -40,6 +40,12 @@ def _cc(value) -> CycQ:
     return value if isinstance(value, CycQ) else CycQ(Rat(value))
 
 
+class ArithmeticInvariantError(ValueError):
+    """An exact computation failed that never fails on correct
+    intermediate results: a non-exact division or a singular linear system.
+    The command line reports it as a violated invariant (exit 3)."""
+
+
 class QPoly:
     """Polynomial in q over the cyclotomic rationals."""
 
@@ -167,7 +173,9 @@ class QPoly:
     def exact_div(self, other) -> "QPoly":
         quo, rem = divmod(self, _coerce_poly(other))
         if not rem.is_zero():
-            raise ValueError(f"non-exact division: ({self}) / ({other})")
+            raise ArithmeticInvariantError(
+                f"non-exact division: ({self}) / ({other})"
+            )
         return quo
 
     def divides(self, other) -> bool:

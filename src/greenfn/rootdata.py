@@ -5,8 +5,12 @@ A root datum lives on a character lattice X = Z^r with chosen simple roots in
 X and simple coroots in the dual lattice Y.  A finite-order automorphism phi
 of X permuting the simple roots encodes the twist of the Frobenius F = q*phi.
 
-Weyl group elements are represented as integer matrices acting on X (column
-convention), so that Weyl groups of Levi subdata embed literally into the
+A Weyl group acts faithfully on its roots, so the group is generated,
+scanned and partitioned into twisted classes as permutations of the roots:
+a product is tuple indexing and an inverse an argsort.  Each element's
+integer matrix on X (column convention) is multiplied out once, when the
+element is found, and the public results (``TwistedCoset``) hold the
+matrices, so that Weyl groups of Levi subdata embed literally into the
 parent group and class fusion is set intersection.  The module provides
 twisted conjugacy classes, relative Weyl groups of Levi subgroups, order
 polynomials of tori / centres / groups, and the component group of the
@@ -26,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from .linalg import determinant, solve_linear
 from .qpoly import QPoly, RatFunc
@@ -44,9 +49,7 @@ def identity_mat(r: int) -> Mat:
 
 def mat_mul_int(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -79,6 +82,39 @@ def mat_order(a: Mat, limit: int = 10000) -> int:
         if k > limit:
             raise ValueError("matrix order exceeds limit")
     return k
+
+
+# ---------------------------------------------------------------------------
+# permutations of the roots
+#
+# A Weyl element is determined by the permutation it induces on
+# ``RootDatumF.roots``: p[i] is the index of the image of root i.
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The permutation a∘b (first b, then a)."""
+    # roots come in pairs +-alpha, so b has 0 or at least 2 entries, and
+    # itemgetter of several indices returns a tuple
+    return itemgetter(*b)(a) if b else ()
+
+
+def _perm_inverse(p: tuple) -> tuple:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _perm_order(p: tuple) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    return math.lcm(*_cycle_type_on(p, range(len(p))))
+
+
+def _perm_powers(p: tuple) -> list:
+    """[1, p, p^2, ..., p^(k-1)] for p of order k."""
+    one = tuple(range(len(p)))
+    out, power = [one], p
+    while power != one:
+        out.append(power)
+        power = _compose(power, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +163,31 @@ class TwistedCoset:
             raise KeyError("element not in coset group") from None
 
 
-def _twisted_classes(elements, sigma):
-    """Partition ``elements`` into sigma-twisted conjugacy classes."""
-    elems = sorted(elements)
-    group = set(elems)
-    inverse = _inverses(elems)
+def _twisted_classes(group: dict, twist: tuple):
+    """Partition ``group``, a dict root permutation -> matrix, into twisted
+    conjugacy classes {g x sigma(g)^-1}, sigma(g) = twist g twist^-1."""
+    twist_inv = _perm_inverse(twist)
     # sigma(g)^-1 = sigma(g^-1), computed once per g
-    pairs = [(g, sigma(inverse[g])) for g in elems]
+    pairs = []
+    for g in group:
+        s = _compose(_compose(twist, _perm_inverse(g)), twist_inv)
+        if s not in group:
+            raise ValueError("twist does not normalize the relative Weyl group")
+        pairs.append((g, s))
     seen = set()
     classes = []
-    for x in elems:
+    for x in group:
         if x in seen:
             continue
-        orbit = {mat_mul_int(mat_mul_int(g, x), s_inv) for g, s_inv in pairs}
-        if not orbit <= group:
+        orbit = {_compose(_compose(g, x), s) for g, s in pairs}
+        if not orbit <= group.keys():
             raise ValueError("twist does not normalize the group")
         seen |= orbit
         size = len(orbit)
         if len(group) % size:
             raise ValueError("orbit size does not divide group order")
-        classes.append(
-            TwistedClass(min(orbit), frozenset(orbit), size, len(group) // size)
-        )
+        mats = frozenset(group[p] for p in orbit)
+        classes.append(TwistedClass(min(mats), mats, size, len(group) // size))
     classes.sort(key=lambda c: c.rep)
     total = sum(c.size for c in classes)
     if total != len(group):
@@ -156,47 +195,30 @@ def _twisted_classes(elements, sigma):
     return tuple(classes)
 
 
-def _inverses(elems) -> dict:
-    """The inverse of every element of a finite matrix group, read off the
-    cyclic subgroup each element generates (g^-1 = g^(k-1) for g of order k)."""
-    eye = identity_mat(len(elems[0]))
-    inverse = {}
-    for g in elems:
-        if g in inverse:
-            continue
-        powers = [eye]
-        p = g
-        while p != eye:
-            powers.append(p)
-            if len(powers) > len(elems):
-                raise ValueError("elements do not form a finite group")
-            p = mat_mul_int(p, g)
-        k = len(powers)
-        for i, h in enumerate(powers):
-            inverse[h] = powers[-i % k]
-    return inverse
+def generate_group(generators, limit: int = 2_000_000) -> dict:
+    """Closure under multiplication of ``generators``, pairs (root
+    permutation, matrix), as a dict root permutation -> matrix.
 
-
-def generate_group(generators, limit: int = 2_000_000):
-    """Closure of a set of invertible integer matrices under multiplication."""
-    gens = list(dict.fromkeys(generators))
-    if not gens:
-        return ()
-    eye = identity_mat(len(gens[0]))
-    seen = {eye}
-    frontier = [eye]
+    The search runs on permutations, so the group must act faithfully on
+    the roots, as a Weyl group does.  Each element's matrix is multiplied
+    out once, when the element is first found.
+    """
+    gens = list(dict(generators).items())
+    perm, mat = gens[0]
+    group = {tuple(range(len(perm))): identity_mat(len(mat))}
+    frontier = list(group)
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                wg = mat_mul_int(w, g)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-                    if len(seen) > limit:
+            for p, m in gens:
+                wp = _compose(w, p)
+                if wp not in group:
+                    group[wp] = mat_mul_int(group[w], m)
+                    nxt.append(wp)
+                    if len(group) > limit:
                         raise ValueError("group generation limit exceeded")
         frontier = nxt
-    return tuple(sorted(seen))
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +316,28 @@ class RootDatumF:
     def ss_rank(self) -> int:
         return _rank_of_vectors(self.simple_roots)
 
+    @cached_property
+    def _root_index(self) -> dict:
+        return {root: i for i, root in enumerate(self.roots)}
+
+    def root_permutation(self, a: Mat) -> tuple:
+        """The permutation of ``roots`` induced by the matrix a."""
+        index = self._root_index
+        try:
+            return tuple(index[mat_vec(a, root)] for root in self.roots)
+        except KeyError:
+            raise ValueError("matrix does not permute the roots") from None
+
+    @cached_property
+    def weyl_group(self) -> dict:
+        """W as a dict: root permutation -> matrix on X."""
+        if not self.simple_roots:
+            return {(): identity_mat(self.rank)}
+        reflections = [self.reflection(i) for i in range(len(self.simple_roots))]
+        return generate_group((self.root_permutation(s), s) for s in reflections)
+
     def weyl_elements(self):
-        if not hasattr(self, "_weyl"):
-            if not self.simple_roots:
-                self._weyl = (identity_mat(self.rank),)
-            else:
-                self._weyl = generate_group(
-                    [self.reflection(i) for i in range(len(self.simple_roots))]
-                )
-        return self._weyl
+        return tuple(sorted(self.weyl_group.values()))
 
     # -- Levi subdata ---------------------------------------------------------
 
@@ -478,23 +513,15 @@ def torus_fixed_order(L0: LeviDatum, w: Mat | None = None) -> QPoly:
 def relative_weyl_group(G: RootDatumF, L0: LeviDatum) -> TwistedCoset:
     """W_G(L0) = {w in W : w permutes the simple roots of L0}, with the
     automorphism induced by the Frobenius twist of L0."""
-    roots_I = frozenset(G.simple_roots[i] for i in L0.subset)
-    stab = [
-        w
-        for w in G.weyl_elements()
-        if frozenset(mat_vec(w, a) for a in roots_I) == roots_I
-    ]
+    roots_I = {G._root_index[G.simple_roots[i]] for i in L0.subset}
+    stab = {
+        p: w for p, w in G.weyl_group.items() if {p[i] for i in roots_I} == roots_I
+    }
     phi = L0.frobenius_twist()
-    phi_inv = mat_inv_int(phi)
-    sigma = lambda g: mat_mul_int(mat_mul_int(phi, g), phi_inv)
-    stab_set = set(stab)
-    for w in stab:
-        if sigma(w) not in stab_set:
-            raise ValueError("twist does not normalize the relative Weyl group")
-    classes = _twisted_classes(stab, sigma)
+    classes = _twisted_classes(stab, G.root_permutation(phi))
     structure, labels, block_data = _detect_structure(G, L0, stab, classes)
     return TwistedCoset(
-        tuple(sorted(stab)), phi, classes, structure, labels, block_data
+        tuple(sorted(stab.values())), phi, classes, structure, labels, block_data
     )
 
 
@@ -516,17 +543,21 @@ def class_fusion(sub: TwistedCoset, big: TwistedCoset):
 # structure detection for character tables
 
 
-def _detect_structure(G, L0, elements, classes):
+def _detect_structure(G, L0, group, classes):
+    """Structure tag, class labels and block data of ``group``, a dict root
+    permutation -> matrix, for the character tables."""
     if G.gl_size is not None:
-        got = _gl_block_structure(G, L0, elements, classes)
+        got = _gl_block_structure(G, L0, sorted(group.values()), classes)
         if got is not None:
             return got
-    if len(elements) == 1:
+    if len(group) == 1:
         return ("trivial",), ("1",) * len(classes), None
-    dih = _dihedral_structure(elements, classes)
+    # scan in the order of the matrices, which fixes the chosen generators
+    perm_of = {w: p for p, w in sorted(group.items(), key=lambda item: item[1])}
+    dih = _dihedral_structure(perm_of, classes)
     if dih is not None:
         return dih
-    return _cyclic_structure(elements, classes)
+    return _cyclic_structure(perm_of, classes)
 
 
 def _gl_block_structure(G, L0, elements, classes):
@@ -632,75 +663,55 @@ def _cycle_type_on(perm, idxs):
     return tuple(sorted(parts, reverse=True))
 
 
-def _dihedral_structure(elements, classes):
+def _dihedral_structure(perm_of, classes):
     """Detect a dihedral group of order 2m (m >= 2): a cyclic subgroup of
-    index 2 inverted by an outside involution."""
-    order = len(elements)
+    index 2 inverted by an outside involution.  ``perm_of`` maps each
+    matrix to its root permutation."""
+    order = len(perm_of)
     if order % 2 or order < 4:
         return None
     m = order // 2
-    eye = identity_mat(len(elements[0]))
-    for r in sorted(elements):
-        if mat_order(r, order + 1) != m:
+    for r, pr in perm_of.items():
+        if _perm_order(pr) != m:
             continue
-        rot = {eye}
-        p = r
-        while p != eye:
-            rot.add(p)
-            p = mat_mul_int(p, r)
-        if len(rot) != m:
-            continue
-        outside = [t for t in elements if t not in rot]
-        r_inv = mat_inv_int(r)
-        for t in sorted(outside):
-            if mat_mul_int(t, t) != eye:
+        rotations = _perm_powers(pr)
+        powers = {p: k for k, p in enumerate(rotations)}
+        r_inv = _perm_inverse(pr)
+        for t, pt in perm_of.items():
+            if pt in powers or _compose(pt, pt) != rotations[0]:
                 continue
-            if mat_mul_int(mat_mul_int(t, r), mat_inv_int(t)) != r_inv:
-                continue
-            if set(elements) != rot | {mat_mul_int(g, t) for g in rot}:
+            # t is an involution, so t r t^-1 = t r t; the m rotations and
+            # the m elements r^k t are then the whole group
+            if _compose(_compose(pt, pr), pt) != r_inv:
                 continue
             labels = tuple(
-                _dihedral_class_label(cls, r, t, m) for cls in classes
+                _dihedral_class_label(perm_of[cls.rep], powers, pt, m)
+                for cls in classes
             )
             return ("dihedral", m), labels, (r, t)
     return None
 
 
-def _dihedral_class_label(cls, r, t, m):
+def _dihedral_class_label(rep, powers, t, m):
     """Class label for D_m = <r, t | r^m, t^2, trt=r^-1>: rotations "r{k}"
     with 0 <= k <= m/2, reflections "t0"/"t1" by the parity of k in r^k t
-    (a single class "t0" for odd m)."""
-    eye = identity_mat(len(r))
-    powers = {}
-    p, k = eye, 0
-    while True:
-        powers[p] = k
-        if k == m - 1:
-            break
-        p = mat_mul_int(p, r)
-        k += 1
-    if cls.rep in powers:
-        k = powers[cls.rep]
+    (a single class "t0" for odd m).  ``powers`` maps r^k to k."""
+    if rep in powers:
+        k = powers[rep]
         return f"r{min(k, (m - k) % m)}"
-    k = powers[mat_mul_int(cls.rep, mat_inv_int(t))]
+    k = powers[_compose(rep, t)]  # rep t^-1 = rep t
     return "t0" if (m % 2 or k % 2 == 0) else "t1"
 
 
-def _cyclic_structure(elements, classes):
-    order = len(elements)
-    eye = identity_mat(len(elements[0]))
-    for g in sorted(elements):
-        if mat_order(g, order + 1) == order:
-            labels = []
-            powers = {eye: 0}
-            p, k = g, 1
-            while p != eye:
-                powers[p] = k
-                p = mat_mul_int(p, g)
-                k += 1
-            for cls in classes:
-                labels.append(f"g{min(powers[e] for e in cls.elements)}")
-            return ("cyclic", order, g), tuple(labels), None
+def _cyclic_structure(perm_of, classes):
+    order = len(perm_of)
+    for g, pg in perm_of.items():
+        if _perm_order(pg) == order:
+            powers = {p: k for k, p in enumerate(_perm_powers(pg))}
+            labels = tuple(
+                f"g{min(powers[perm_of[e]] for e in cls.elements)}" for cls in classes
+            )
+            return ("cyclic", order, g), labels, None
     return None, None, None
 
 
@@ -882,8 +893,11 @@ def _e_cartan(n):
     return tuple(tuple(row) for row in a)
 
 
-# the smallest rank each family's Cartan builder accepts (others: 0)
-MIN_RANK = {"B": 2, "C": 2, "D": 3, "E": 4}
+# the smallest rank each classical Cartan builder accepts (others: 0)
+MIN_RANK = {"B": 2, "C": 2, "D": 3}
+
+# the exceptional builders make these ranks only
+EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 DEGREES = {
     ("E", 6): (2, 5, 6, 8, 9, 12),
@@ -941,6 +955,12 @@ def cartan_type(spec: str) -> RootDatumF:
     least = MIN_RANK.get(family, 0)
     if n < least:
         raise ValueError(f"type {family}{n} needs rank at least {least}")
+    ranks = EXCEPTIONAL_RANKS.get(family)
+    if ranks is not None and n not in ranks:
+        raise ValueError(
+            f"type {family}{n} does not exist "
+            f"(ranks of {family}: {', '.join(map(str, ranks))})"
+        )
     cartan = CARTAN_TYPES[family](n)
     flip = None
     if twisted:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import copy
+import hashlib
 import io
 import json
 import os
@@ -16,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenfn
-from greenfn import rootdata
+from greenfn import cli, rootdata
 from greenfn.cli import (
     EXIT_DATA,
+    EXIT_INVARIANT,
     EXIT_OK,
     main,
 )
+from greenfn.linalg import solve_linear
+from greenfn.qpoly import QPoly
 from greenfn.springer import export_pack, gl_springer
 
 
@@ -61,6 +65,14 @@ class TestTable:
         assert doc["entries"] == [["1"], ["Phi2"]]
         assert doc["assumptions"] == []
 
+    def test_gl6_digest(self, capsys):
+        # the whole table GL6, byte for byte as first recorded
+        code, out, _ = run(capsys, "table", "GL6")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "69ff9dd7d5233d8d63facfc86b4aa8f22d2befc6c6a5ba0d9690fdbed12e465a"
+        )
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "table", "GL3", "--levi", "1")
         _, out2, _ = run(capsys, "table", "GL3", "--levi", "1")
@@ -88,6 +100,28 @@ class TestTable:
         code, out, err = run(capsys, "table", label)
         assert (code, out) == (EXIT_DATA, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("label", ["E4", "E5", "E9", "F5", "G7", "G1"])
+    def test_exceptional_rank_rejected(self, capsys, label):
+        # the builders of E, F and G would ignore the rank in the label
+        for command in ("table", "pack-export"):
+            code, out, err = run(capsys, command, label)
+            assert (code, out) == (EXIT_DATA, "")
+            assert err.startswith(f"error: type {label} does not exist")
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (lambda: solve_linear([[0]], [1]), "singular linear system"),
+        (lambda: QPoly([1]).exact_div(QPoly([0, 1])), "non-exact division"),
+    ],
+)
+def test_internal_arithmetic_error_exits_3(capsys, monkeypatch, fail, message):
+    monkeypatch.setattr(cli, "green_two_var_table", lambda *args: fail())
+    code, out, err = run(capsys, "table", "GL2")
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.startswith("invariant violated:") and message in err
 
 
 class TestScalarAndVerify:

@@ -8,12 +8,19 @@ import pytest
 
 from greenfn.qpoly import QPoly
 from greenfn.rootdata import (
+    TwistedClass,
+    TwistedCoset,
     _cycle_type_on,
+    _gl_block_structure,
+    _twisted_classes,
     cartan_type,
     class_fusion,
     gl,
     identity_mat,
+    mat_inv_int,
     mat_mul_int,
+    mat_order,
+    mat_vec,
     relative_weyl_group,
     smith_normal_form,
     torus,
@@ -43,6 +50,9 @@ class TestOrders:
         # [PAPER]-adjacent standard orders, derived from the maximal-torus orders
         assert cartan_type("B2sc").group_order() == QPoly.q(4) * (q**2 - 1) * (q**4 - 1)
         assert cartan_type("G2").group_order() == QPoly.q(6) * (q**2 - 1) * (q**6 - 1)
+        assert cartan_type("F4").group_order() == QPoly.q(24) * prod(
+            q**d - 1 for d in (2, 6, 8, 12)
+        )
         # [DERIVED] maximal tori of the order-2 twist of A2: unitary group order
         assert cartan_type("2A2sc").group_order() == QPoly.q(3) * (q**2 - 1) * (q**3 + 1)
         assert (
@@ -290,3 +300,221 @@ class TestCenter:
         assert diag == [2, 2, 156]
         for i in range(2):
             assert diag[i + 1] % diag[i] == 0
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the relative Weyl group as a scan of integer matrices
+#
+# This is the matrix implementation that the root-permutation one replaced,
+# kept unchanged apart from names.  The structure detection for GL_n
+# (``_gl_block_structure``) is shared: it reads matrices in both.
+
+
+def _ref_generate_group(generators):
+    gens = list(dict.fromkeys(generators))
+    eye = identity_mat(len(gens[0]))
+    seen = {eye}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = mat_mul_int(w, g)
+                if wg not in seen:
+                    seen.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def _ref_weyl_elements(G):
+    if not G.simple_roots:
+        return (identity_mat(G.rank),)
+    return _ref_generate_group([G.reflection(i) for i in range(len(G.simple_roots))])
+
+
+def _ref_inverses(elems):
+    eye = identity_mat(len(elems[0]))
+    inverse = {}
+    for g in elems:
+        if g in inverse:
+            continue
+        powers = [eye]
+        p = g
+        while p != eye:
+            powers.append(p)
+            p = mat_mul_int(p, g)
+        k = len(powers)
+        for i, h in enumerate(powers):
+            inverse[h] = powers[-i % k]
+    return inverse
+
+
+def _ref_twisted_classes(elements, sigma):
+    elems = sorted(elements)
+    group = set(elems)
+    inverse = _ref_inverses(elems)
+    pairs = [(g, sigma(inverse[g])) for g in elems]
+    seen = set()
+    classes = []
+    for x in elems:
+        if x in seen:
+            continue
+        orbit = {mat_mul_int(mat_mul_int(g, x), s_inv) for g, s_inv in pairs}
+        assert orbit <= group
+        seen |= orbit
+        size = len(orbit)
+        classes.append(
+            TwistedClass(min(orbit), frozenset(orbit), size, len(group) // size)
+        )
+    classes.sort(key=lambda c: c.rep)
+    assert sum(c.size for c in classes) == len(group)
+    return tuple(classes)
+
+
+def _ref_dihedral_structure(elements, classes):
+    order = len(elements)
+    if order % 2 or order < 4:
+        return None
+    m = order // 2
+    eye = identity_mat(len(elements[0]))
+    for r in sorted(elements):
+        if mat_order(r, order + 1) != m:
+            continue
+        rot = {eye}
+        p = r
+        while p != eye:
+            rot.add(p)
+            p = mat_mul_int(p, r)
+        outside = [t for t in elements if t not in rot]
+        r_inv = mat_inv_int(r)
+        for t in sorted(outside):
+            if mat_mul_int(t, t) != eye:
+                continue
+            if mat_mul_int(mat_mul_int(t, r), mat_inv_int(t)) != r_inv:
+                continue
+            if set(elements) != rot | {mat_mul_int(g, t) for g in rot}:
+                continue
+            labels = tuple(_ref_dihedral_label(cls, r, t, m) for cls in classes)
+            return ("dihedral", m), labels, (r, t)
+    return None
+
+
+def _ref_dihedral_label(cls, r, t, m):
+    powers = {}
+    p, k = identity_mat(len(r)), 0
+    while True:
+        powers[p] = k
+        if k == m - 1:
+            break
+        p = mat_mul_int(p, r)
+        k += 1
+    if cls.rep in powers:
+        k = powers[cls.rep]
+        return f"r{min(k, (m - k) % m)}"
+    k = powers[mat_mul_int(cls.rep, mat_inv_int(t))]
+    return "t0" if (m % 2 or k % 2 == 0) else "t1"
+
+
+def _ref_cyclic_structure(elements, classes):
+    order = len(elements)
+    eye = identity_mat(len(elements[0]))
+    for g in sorted(elements):
+        if mat_order(g, order + 1) == order:
+            powers = {eye: 0}
+            p, k = g, 1
+            while p != eye:
+                powers[p] = k
+                p = mat_mul_int(p, g)
+                k += 1
+            labels = [f"g{min(powers[e] for e in cls.elements)}" for cls in classes]
+            return ("cyclic", order, g), tuple(labels), None
+    return None, None, None
+
+
+def _ref_relative_weyl_group(G, L0, weyl):
+    roots_I = frozenset(G.simple_roots[i] for i in L0.subset)
+    stab = [w for w in weyl if frozenset(mat_vec(w, a) for a in roots_I) == roots_I]
+    phi = L0.frobenius_twist()
+    phi_inv = mat_inv_int(phi)
+    sigma = lambda g: mat_mul_int(mat_mul_int(phi, g), phi_inv)
+    assert {sigma(w) for w in stab} == set(stab)
+    classes = _ref_twisted_classes(stab, sigma)
+    got = _gl_block_structure(G, L0, stab, classes) if G.gl_size else None
+    if got is None:
+        if len(stab) == 1:
+            got = ("trivial",), ("1",) * len(classes), None
+        else:
+            got = _ref_dihedral_structure(stab, classes) or _ref_cyclic_structure(
+                stab, classes
+            )
+    return TwistedCoset(tuple(sorted(stab)), phi, classes, *got)
+
+
+def _stable_levis(G):
+    """Every standard Levi of G whose simple roots the twist permutes."""
+    out = []
+    for k in range(len(G.simple_roots) + 1):
+        for subset in combinations(range(len(G.simple_roots)), k):
+            try:
+                out.append(G.levi(subset))
+            except ValueError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, levis",
+    [("GL2", 2), ("GL3", 4), ("GL4", 8), ("GL5", 16), ("GL6", 32)]
+    + [
+        ("2A2sc", 2),
+        ("2A3sc", 4),
+        ("2D4ad", 8),
+        ("B2ad", 4),
+        ("G2", 4),
+        ("B3sc", 8),
+        ("C3ad", 8),
+    ],
+)
+def test_relative_weyl_group_matches_matrix_scan(spec, levis):
+    G = cartan_type(spec)
+    weyl = _ref_weyl_elements(G)
+    assert G.weyl_elements() == weyl
+    cosets = _stable_levis(G)
+    assert len(cosets) == levis
+    for L0 in cosets:
+        assert relative_weyl_group(G, L0) == _ref_relative_weyl_group(G, L0, weyl)
+
+
+class TestTwistedClassChecks:
+    """Each check of ``_twisted_classes`` fails on a group (root permutation
+    -> matrix) and twist built to break it, here inside W(GL3) = S_3."""
+
+    G = gl(3)
+    s1, s2 = G.reflection(0), G.reflection(1)
+    t = mat_mul_int(mat_mul_int(s1, s2), s1)  # the third transposition
+    one = identity_mat(3)
+
+    def classes(self, elements, twist):
+        perm = self.G.root_permutation
+        return _twisted_classes({perm(w): w for w in elements}, perm(twist))
+
+    def test_twisted_s3(self):
+        got = self.classes(self.G.weyl_elements(), self.t)
+        assert sorted(c.size for c in got) == [1, 2, 3]
+
+    def test_twist_must_normalize(self):
+        with pytest.raises(ValueError, match="does not normalize the relative"):
+            self.classes([self.one, self.s1], self.s2)
+
+    def test_orbit_must_stay_in_group(self):
+        with pytest.raises(ValueError, match="does not normalize the group"):
+            self.classes([self.one, self.s1, self.s2], self.one)
+
+    def test_orbit_size_must_divide_order(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            self.classes([self.one, self.s1, self.s2, self.t], self.one)
+
+    def test_classes_must_partition(self):
+        with pytest.raises(ValueError, match="do not partition"):
+            self.classes([self.s1, self.s2], self.t)
