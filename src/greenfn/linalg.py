@@ -78,40 +78,3 @@ def _one_like(matrix):
     if isinstance(sample, QPoly):
         return QPoly([1])
     return type(sample)(1)
-
-
-def determinant(matrix):
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Works for entries in a commutative ring with exact division (``exact_div``
-    for QPoly, ordinary division otherwise); in particular the determinant of
-    an integer-polynomial matrix comes out as a polynomial, not a fraction.
-    """
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = None
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if not _is_zero(m[r][col])), None)
-        if pivot is None:
-            return m[0][0] - m[0][0]  # zero of the right type
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                val = m[r][c] * m[col][col] - m[r][col] * m[col][c]
-                if prev is not None:
-                    val = _exact_div(val, prev)
-                m[r][c] = val
-        prev = m[col][col]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _exact_div(a, b):
-    if hasattr(a, "exact_div"):
-        return a.exact_div(b)
-    return a / b

@@ -7,19 +7,23 @@ no floating point anywhere: all arithmetic is exact, and an identity between
 polynomials is only ever accepted coefficient-wise.
 
 The denominators of Green-function computations are products
-q^k * prod Phi_d^{e_d}.  A RatFunc with rational numerator keeps such a
+q^k * prod Phi_d^{e_d}, and Green-function tables are displayed in the same
+shape.  One routine, ``_strip_phi``, divides an integer polynomial by Phi_d
+as often as it goes; ``phi_factorize`` runs it for every d up to
+DEFAULT_PHI_BOUND, the one bound, and RatFunc runs it for the Phi_d of its
+denominator.  A polynomial with rational coefficients thus splits into a
+rational scalar, a power of q, factors Phi_d and a primitive integer
+residual, e.g.
+
+    (4q+1)q^4Phi2^2/3
+
+A RatFunc with rational numerator and a denominator of residual 1 keeps the
 denominator as its exponents and reduces by trial division by the Phi_d
 present, which is complete because each Phi_d is irreducible over Q.  A
 numerator with non-rational coefficients (over Q(zeta) a Phi_d can split) or
-a denominator with another factor takes the Euclidean gcd, QPoly.gcd, and
-the reduced result keeps the factorization only if its numerator is rational.
-
-The module also implements the Phi-factorized display used for Green-function
-tables: a polynomial with rational coefficients is split into a rational
-scalar, a power of q, cyclotomic-polynomial factors Phi_n (n up to
-DEFAULT_PHI_BOUND), and a primitive integer residual, e.g.
-
-    (4q+1)q^4Phi2^2/3
+a denominator with another factor, a Phi_d with d > DEFAULT_PHI_BOUND
+included, takes the Euclidean gcd, QPoly.gcd, and the reduced result keeps
+the factorization only if its numerator is rational.
 
 The rendering grammar round-trips bit-exactly through parse_phi_string.
 """
@@ -31,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import CycQ, Rat, cyclotomic_int_coeffs, divisors, int_poly_quotient, totient
+from .cyclo import CycQ, Rat, cyclotomic_int_coeffs, divisors, int_poly_quotient
 
 DEFAULT_PHI_BOUND = 30
 
@@ -177,11 +181,6 @@ class QPoly:
                 f"non-exact division: ({self}) / ({other})"
             )
         return quo
-
-    def divides(self, other) -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return divmod(_coerce_poly(other), self)[1].is_zero()
 
     def gcd(self, other) -> "QPoly":
         a, b = self, _coerce_poly(other)
@@ -480,9 +479,7 @@ def _reduce(num: QPoly, k: int, exps: dict, cancel, scale=1):
 
     Negative exponents move to the numerator.  Returns (num, den, (k, exps))
     with exps a sorted tuple.  Only q and the Phi_d for d in ``cancel`` are tried
-    as common factors.  A Phi_d divides num only if Phi_d(2) divides the
-    integer num(2) (num scaled to integer coefficients), which skips most
-    trial divisions that would fail.
+    as common factors.
     """
     low = tuple((d, -e) for d, e in sorted(exps.items()) if e < 0)
     if k < 0 or low:
@@ -503,12 +500,8 @@ def _reduce(num: QPoly, k: int, exps: dict, cancel, scale=1):
         ints = [c.numerator * (common // c.denominator) for c in cs]
         at_two = _at_two(ints)
         for d in cancel:
-            phi, p = cyclotomic_int_coeffs(d), _phi_at_two(d)
-            while exps[d] and at_two % p == 0:
-                quo = int_poly_quotient(ints, phi)
-                if quo is None:
-                    break
-                ints, at_two, exps[d] = quo, at_two // p, exps[d] - 1
+            ints, at_two, e = _strip_phi(ints, at_two, d, exps[d])
+            exps[d] -= e
         cs = [Fraction(c, common) for c in ints]
     exps = tuple((d, e) for d, e in sorted(exps.items()) if e > 0)
     return QPoly(cs), _den_poly(k, exps), (k, exps)
@@ -521,30 +514,26 @@ def _phi_split(poly: QPoly):
     factor."""
     if not poly.has_rational_coeffs():
         return None
-    cs = [c.as_fraction() for c in poly.coeffs]
-    k = 0
-    while not cs[k]:
-        k += 1
-    c = cs[-1]
-    ints = [x / c for x in cs[k:]]
-    if any(x.denominator != 1 for x in ints):
-        return None  # a product of Phi_d is monic with integer coefficients
-    ints = [int(x) for x in ints]
-    at_two, exps, d = _at_two(ints), [], 1
-    if not at_two:
-        return None  # q - 2 divides it
-    # phi(d) >= sqrt(d) for d > 6, so no Phi_d with d > max(6, deg^2) fits
-    while len(ints) > 1 and d <= max(6, (len(ints) - 1) ** 2):
-        e, p = 0, _phi_at_two(d)
-        while at_two % p == 0 and totient(d) < len(ints):
-            quo = int_poly_quotient(ints, cyclotomic_int_coeffs(d))
-            if quo is None:
-                break
-            ints, at_two, e = quo, at_two // p, e + 1
-        if e:
-            exps.append((d, e))
-        d += 1
-    return (c, k, tuple(exps)) if len(ints) == 1 else None
+    fact = phi_factorize(poly)
+    return (fact.scalar, fact.qpow, fact.phis) if fact.residual.is_one() else None
+
+
+def _strip_phi(ints, at_two: int, d: int, limit=None):
+    """Divide the integer polynomial ``ints`` by Phi_d as often as it goes,
+    at most ``limit`` times.  ``at_two`` is ints(2).  Returns the quotient,
+    its value at 2 and the number of divisions.
+
+    Phi_d divides ints only if Phi_d(2) divides ints(2), which skips most
+    trial divisions that would fail.  When q - 2 divides ints, ints(2) = 0
+    and every division is tried.
+    """
+    phi, p, e = cyclotomic_int_coeffs(d), _phi_at_two(d), 0
+    while (limit is None or e < limit) and at_two % p == 0:
+        quo = int_poly_quotient(ints, phi)
+        if quo is None:
+            break
+        ints, at_two, e = quo, at_two // p, e + 1
+    return ints, at_two, e
 
 
 @lru_cache(maxsize=4096)
@@ -607,7 +596,8 @@ class FactorizationRefused(ValueError):
 
 
 def phi_factorize(poly: QPoly) -> PhiFactorization:
-    """Exact factorization into q-power, cyclotomic factors and residual.
+    """Exact factorization into q-power, cyclotomic factors Phi_d for
+    d <= DEFAULT_PHI_BOUND and residual.
 
     >>> str(phi_factorize(QPoly([1, 1])).phis)
     '((2, 1),)'
@@ -616,21 +606,18 @@ def phi_factorize(poly: QPoly) -> PhiFactorization:
         raise FactorizationRefused(f"non-rational coefficients in {poly}")
     if poly.is_zero():
         return PhiFactorization(Fraction(0), 0, (), QPoly([1]))
+    content, primitive = poly.rational_content()
+    ints = [int(c.as_fraction()) for c in primitive.coeffs]
     qpow = 0
-    while poly.coeffs[qpow].is_zero():
+    while not ints[qpow]:
         qpow += 1
-    work = QPoly(poly.coeffs[qpow:])
-    phis = []
-    for n in range(1, DEFAULT_PHI_BOUND + 1):
-        phi_n = QPoly.phi(n)
-        mult = 0
-        while phi_n.divides(work):
-            work = work.exact_div(phi_n)
-            mult += 1
-        if mult:
-            phis.append((n, mult))
-    content, primitive = work.rational_content()
-    return PhiFactorization(content, qpow, tuple(phis), primitive)
+    ints = ints[qpow:]
+    at_two, phis = _at_two(ints), []
+    for d in range(1, DEFAULT_PHI_BOUND + 1):
+        ints, at_two, e = _strip_phi(ints, at_two, d)
+        if e:
+            phis.append((d, e))
+    return PhiFactorization(content, qpow, tuple(phis), QPoly(ints))
 
 
 def render_phi(fact: PhiFactorization) -> str:

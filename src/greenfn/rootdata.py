@@ -32,7 +32,7 @@ from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .linalg import determinant, solve_linear
+from .linalg import solve_linear
 from .qpoly import QPoly, RatFunc
 
 Vec = tuple
@@ -441,13 +441,20 @@ class LeviDatum:
 
 
 def _charpoly(a: Mat) -> QPoly:
-    """det(q - a) for an integer matrix a."""
+    """det(q - a) for an integer matrix a, by the Faddeev-LeVerrier recursion:
+    with M_1 = 1, c_r = 1 and M_{k+1} = a M_k + c_{r-k} for k >= 1, the
+    coefficient c_{r-k} of q^{r-k} is -tr(a M_k) / k, an exact integer
+    division."""
     r = len(a)
-    if not r:
-        return QPoly([1])
-    return determinant(
-        [[QPoly([-a[i][j], 1 if i == j else 0]) for j in range(r)] for i in range(r)]
-    )
+    cs, m = [1], identity_mat(r)
+    for k in range(1, r + 1):
+        am = mat_mul_int(a, m)
+        cs.append(-sum(am[i][i] for i in range(r)) // k)
+        m = tuple(
+            tuple(x + cs[-1] if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(am)
+        )
+    return QPoly(cs[::-1])
 
 
 def _order_polynomial(datum: RootDatumF) -> QPoly:

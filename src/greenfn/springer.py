@@ -547,7 +547,16 @@ def load_pack(document) -> SpringerTable:
                 y_normalization_assumed=bool(b.get("y_normalization_assumed", False)),
             )
         )
-    return SpringerTable(group, classes, systems, blocks)
+    table = SpringerTable(group, classes, systems, blocks)
+    order = group.group_order()
+    for c in classes:
+        centralizer = table.centralizer_order(c.label)
+        if centralizer.is_zero() or not divmod(order, centralizer)[1].is_zero():
+            raise DataPackRequired(
+                f"pack class {c.label}: centralizer order {render_poly(centralizer)} "
+                f"does not divide |G^F| = {render_poly(order)}"
+            )
+    return table
 
 
 def export_pack(table: SpringerTable) -> dict:

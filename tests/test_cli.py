@@ -279,6 +279,25 @@ class TestPacks:
         code, _, _ = run(capsys, "pack-validate", "/nonexistent/pack.json")
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("argv", [("pack-validate",), ("table", "GL3", "--pack")])
+    @pytest.mark.parametrize("c0_order", ["q^5", "0"])
+    def test_rejects_centralizer_not_dividing_group_order(
+        self, capsys, tmp_path, argv, c0_order
+    ):
+        # q^5 has the right degree for the class 21 of GL3, and "0" with its
+        # dimension raised by one also passes the dimension check
+        doc = export_pack(gl_springer(3))
+        assert doc["classes"][1]["label"] == "21"
+        doc["classes"][1]["c0_order"] = c0_order
+        if c0_order == "0":
+            doc["classes"][1]["dimension"] = 10
+        target = tmp_path / "centralizer.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(target))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error: pack class 21: centralizer order")
+        assert "does not divide |G^F| = q^3Phi1^3Phi2Phi3" in err
+
 
 def test_each_relative_coset_is_built_once(monkeypatch):
     """verify and scalar share the datum's cosets: no (datum, Levi) twice."""

@@ -7,17 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenfn.cyclo import CycQ, cyclotomic_int_coeffs, totient
-from greenfn.linalg import determinant, mat_inverse, mat_mul, solve_linear
+from greenfn.linalg import mat_inverse, mat_mul, solve_linear
 from greenfn.qpoly import (
+    DEFAULT_PHI_BOUND,
     FactorizationRefused,
+    PhiFactorization,
     PhiParseError,
     QPoly,
     RatFunc,
+    _at_two,
+    _strip_phi,
     parse_phi_string,
     phi_factorize,
     render_phi,
     render_poly,
 )
+from greenfn.springer import gl_springer
+from greenfn.twovar import green_two_var_table
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -96,12 +102,37 @@ def parts(r):
     return r.num, r.den
 
 
+def ref_phi_factorize(poly):
+    """Reference factorization, frozen from the QPoly-level implementation
+    that the integer trial division replaced: divide by QPoly.phi(n) over
+    CycQ for n = 1..DEFAULT_PHI_BOUND, then take the rational content."""
+    if not poly.has_rational_coeffs():
+        raise FactorizationRefused(f"non-rational coefficients in {poly}")
+    if poly.is_zero():
+        return PhiFactorization(Fraction(0), 0, (), QPoly([1]))
+    qpow = 0
+    while poly.coeffs[qpow].is_zero():
+        qpow += 1
+    work = QPoly(poly.coeffs[qpow:])
+    phis = []
+    for n in range(1, DEFAULT_PHI_BOUND + 1):
+        phi_n = QPoly.phi(n)
+        mult = 0
+        while divmod(work, phi_n)[1].is_zero():
+            work = work.exact_div(phi_n)
+            mult += 1
+        if mult:
+            phis.append((n, mult))
+    content, primitive = work.rational_content()
+    return PhiFactorization(content, qpow, tuple(phis), primitive)
+
+
 def check_factored(r):
     """A RatFunc keeps (k, exps) exactly when num is rational and den is
-    q^k * prod Phi_d^exps, as phi_factorize finds them."""
+    q^k * prod Phi_d^exps, as the reference factorization finds them."""
     expected = None
     if r.num.has_rational_coeffs() and r.den.has_rational_coeffs():
-        fact = phi_factorize(r.den)
+        fact = ref_phi_factorize(r.den)
         if fact.residual == QPoly([1]):
             expected = (fact.qpow, fact.phis)
     assert r._fac == expected
@@ -237,7 +268,7 @@ class TestQPoly:
         if g.is_zero():
             assert a.is_zero() and b.is_zero()
         else:
-            assert g.divides(a) and g.divides(b)
+            assert divmod(a, g)[1].is_zero() and divmod(b, g)[1].is_zero()
             assert g.leading() == CycQ(1)
 
     @given(qpolys_cyc())
@@ -452,6 +483,64 @@ class TestPhiDisplay:
         assert fact2.phis == ()
         assert fact2.residual == p31
 
+    @given(
+        st.one_of(
+            qpolys(max_degree=5),
+            phi_products(5),
+            st.tuples(qpolys(max_degree=3), phi_products(4)).map(lambda ab: ab[0] * ab[1]),
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_factorize_matches_reference(self, p):
+        assert phi_factorize(p) == ref_phi_factorize(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # q - 2 divides: the value at 2 is 0 and every trial division runs
+            (QPoly.q() - 2) * QPoly.phi(3),
+            (QPoly.q() - 2) ** 2 * QPoly.phi(1) ** 3 * QPoly.phi(2) * QPoly.q(2),
+            QPoly.phi(31),
+            QPoly.phi(30) * QPoly.phi(31) * QPoly.phi(1),
+            QPoly([Fraction(-7, 3)]) * QPoly.phi(30) ** 2 * QPoly.phi(12),
+            QPoly([Fraction(5, 6)]) * QPoly([3, 0, -2]) * QPoly.phi(2) ** 3 * QPoly.q(4),
+            QPoly([-1]) * QPoly.phi(29),
+            QPoly([Fraction(-1, 2)]),
+        ],
+        ids=range(8),
+    )
+    def test_factorize_matches_reference_on_edge_cases(self, p):
+        fact = phi_factorize(p)
+        assert fact == ref_phi_factorize(p)
+        assert fact.reassemble() == p
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda c: c[-1]),
+        st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), max_size=4),
+        st.sampled_from([1, 2, 3, 4, 6, 12]),
+        st.one_of(st.none(), st.integers(0, 3)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_strip_phi_contract(self, base, ds, d, limit):
+        poly = QPoly(base)
+        for m in ds:
+            poly = poly * QPoly.phi(m)
+        ints = [int(c.as_fraction()) for c in poly.coeffs]
+        quo, at_two, e = _strip_phi(ints, _at_two(ints), d, limit)
+        assert at_two == _at_two(quo)
+        assert QPoly(quo) * QPoly.phi(d) ** e == poly
+        if limit is None or e < limit:
+            assert not divmod(QPoly(quo), QPoly.phi(d))[1].is_zero()
+
+    @pytest.mark.parametrize("n, levi", [(5, ()), (4, (0, 2))])
+    def test_table_renderings_match_reference(self, n, levi):
+        tG = gl_springer(n)
+        table = green_two_var_table(tG, tG.group.levi(levi))
+        entries = [e for row in table.entries for e in row]
+        assert len(entries) > 1
+        for e in entries:
+            assert render_poly(e) == render_phi(ref_phi_factorize(e))
+
 
 # ---------------------------------------------------------------------------
 # linear algebra
@@ -471,23 +560,3 @@ class TestLinalg:
         m = [[CycQ(1), CycQ(2)], [CycQ(2), CycQ(4)]]
         with pytest.raises(ValueError):
             solve_linear(m, [CycQ(1), CycQ(1)])
-
-    def test_determinant_stays_polynomial(self):
-        q = QPoly.q()
-        m = [
-            [q + 1, q, QPoly([2])],
-            [QPoly(), q - 1, QPoly([1])],
-            [QPoly([1]), QPoly(), q],
-        ]
-        det = determinant(m)
-        assert isinstance(det, QPoly)
-        assert RatFunc(det) == determinant([[RatFunc(e) for e in row] for row in m])
-
-    @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
-    @settings(max_examples=30, deadline=None)
-    def test_determinant_multiplicative(self, rows):
-        m = [[CycQ(v) for v in row] for row in rows]
-        i3 = [[CycQ(int(i == j)) for j in range(3)] for i in range(3)]
-        from greenfn.linalg import mat_mul as mm
-
-        assert determinant(mm(m, i3)) == determinant(m)

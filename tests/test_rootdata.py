@@ -1,15 +1,18 @@
 """Tests for root data: Weyl groups, twisted classes, orders, centres."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenfn.qpoly import QPoly
 from greenfn.rootdata import (
     TwistedClass,
     TwistedCoset,
+    _charpoly,
     _cycle_type_on,
     _gl_block_structure,
     _twisted_classes,
@@ -32,6 +35,28 @@ q = QPoly.q()
 
 def brute_gl_order(n: int, qq: int) -> int:
     return prod(qq**n - qq**k for k in range(n))
+
+
+def leibniz_charpoly(a) -> QPoly:
+    """det(q - a) as the signed sum over permutations of products of entries."""
+    r = len(a)
+    out = QPoly()
+    for perm in permutations(range(r)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
+        term = QPoly([sign])
+        for i, j in enumerate(perm):
+            term = term * QPoly([-a[i][j], int(i == j)])
+        out = out + term
+    return out
+
+
+int_matrices = st.integers(0, 4).flatmap(
+    lambda r: st.lists(
+        st.lists(st.integers(-5, 5), min_size=r, max_size=r).map(tuple),
+        min_size=r,
+        max_size=r,
+    ).map(tuple)
+)
 
 
 class TestOrders:
@@ -149,6 +174,19 @@ class TestTorusOrders:
         coset = relative_weyl_group(G, T)
         got = Counter(torus_fixed_order(T, cls.rep) for cls in coset.classes)
         assert got == Counter(prod(map(QPoly.phi, ds)) for ds in expect)
+
+    @given(int_matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_charpoly_matches_leibniz(self, a):
+        assert _charpoly(a) == leibniz_charpoly(a)
+
+    @pytest.mark.parametrize("spec", ["F4", "2D4ad"])
+    def test_charpoly_of_twisted_weyl_elements(self, spec):
+        G = cartan_type(spec)
+        elements = sorted(G.weyl_elements())
+        for w in elements[:: len(elements) // 8]:
+            a = mat_mul_int(w, G.twist)
+            assert _charpoly(a) == leibniz_charpoly(a)
 
     def test_non_normalizing_element_rejected(self):
         # s_2 maps the Levi's root alpha_1 to alpha_1 + alpha_2
