@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qpoly import QPoly, RatFunc
+from .qpoly import ArithmeticInvariantError, QPoly, RatFunc
 from .rootdata import LeviDatum, RootDatumF, class_fusion, torus_fixed_order
 
 
@@ -48,7 +48,7 @@ def induced_gg_norm(G: RootDatumF, L: LeviDatum) -> QPoly:
         )
     total = total * RatFunc(QPoly([z_sq]))
     if not total.is_polynomial():
-        raise ArithmeticError(f"induced norm {total} is not polynomial")
+        raise ArithmeticInvariantError(f"induced norm {total} is not polynomial")
     return total.as_qpoly()
 
 

@@ -1,10 +1,19 @@
 """
 Exact polynomials and rational functions in the indeterminate q.
 
-QPoly is a dense polynomial with CycQ coefficients (constant term first);
-RatFunc is a reduced fraction of two QPoly with monic denominator.  There is
-no floating point anywhere: all arithmetic is exact, and an identity between
-polynomials is only ever accepted coefficient-wise.
+QPoly is a dense polynomial over the cyclotomic rationals (constant term
+first); RatFunc is a reduced fraction of two QPoly with monic denominator.
+There is no floating point anywhere: all arithmetic is exact, and an identity
+between polynomials is only ever accepted coefficient-wise.
+
+Green functions of GL_n have rational coefficients throughout, so a QPoly
+with rational coefficients is held as a tuple of integer numerators over one
+positive denominator, in lowest terms, and two such operands add, subtract,
+multiply and divide as integer polynomials.  CycQ coefficients remain only as
+the fallback for a polynomial with an irrational coefficient; any result whose
+coefficients are all rational, such as zeta_3 + zeta_3^2 = -1, takes the
+integer form, so equality and hashing do not depend on how a value was made.
+``QPoly.coeffs`` reads either form as a tuple of CycQ.
 
 The denominators of Green-function computations are products
 q^k * prod Phi_d^{e_d}, and Green-function tables are displayed in the same
@@ -33,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 
-from .cyclo import CycQ, Rat, cyclotomic_int_coeffs, divisors, int_poly_quotient
+from .cyclo import ZERO, CycQ, Rat, cyclotomic_int_coeffs, divisors, int_poly_quotient
 
 DEFAULT_PHI_BOUND = 30
 
@@ -51,75 +61,102 @@ class ArithmeticInvariantError(ValueError):
 
 
 class QPoly:
-    """Polynomial in q over the cyclotomic rationals."""
+    """Polynomial in q over the cyclotomic rationals.
 
-    __slots__ = ("coeffs",)
+    A polynomial with rational coefficients is held as integer numerators
+    ``_num`` (constant term first, no trailing zero) over one positive
+    denominator ``_den`` with gcd(_den, *_num) = 1; zero is () over 1.  Only
+    a polynomial with an irrational coefficient keeps CycQ coefficients, in
+    ``_cyc`` with ``_num`` None.  For a rational polynomial ``_cyc`` caches
+    ``coeffs``.  Every result whose coefficients are all rational takes the
+    integer form, so equal polynomials have equal fields.
+    """
+
+    __slots__ = ("_num", "_den", "_cyc")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (int, Fraction, CycQ)):
-            coeffs = [coeffs]
-        cs = [_cc(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+            coeffs = (coeffs,)
+        cs = [c.coeffs[0] if isinstance(c, CycQ) and c.n == 1 else c for c in coeffs]
+        if any(isinstance(c, CycQ) for c in cs):
+            while cs[-1] == 0:  # the last irrational coefficient is not zero
+                cs.pop()
+            self._num = self._den = None
+            self._cyc = tuple(_cc(c) for c in cs)
+            return
+        den = lcm(*(c.denominator for c in cs))
+        self._num, self._den = _canonical([c.numerator * (den // c.denominator) for c in cs], den)
+        self._cyc = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as CycQ, constant term first."""
+        if self._cyc is None:
+            self._cyc = tuple(CycQ._rat(Fraction(c, self._den)) for c in self._num)
+        return self._cyc
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def q(cls, power: int = 1) -> "QPoly":
-        return cls([0] * power + [1])
+        return _rational((0,) * power + (1,))
 
     @classmethod
     def phi(cls, n: int) -> "QPoly":
         """The n-th cyclotomic polynomial in q."""
-        return cls(list(cyclotomic_int_coeffs(n)))
+        return _rational(cyclotomic_int_coeffs(n))
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self._num == ()
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._cyc if self._num is None else self._num) - 1
 
     def leading(self) -> CycQ:
-        if not self.coeffs:
+        if not self:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant(self) -> CycQ:
-        return self.coeffs[0] if self.coeffs else CycQ(0)
-
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == CycQ(1)
+        return self._num == (1,) and self._den == 1
 
     def has_rational_coeffs(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
+        return self._num is not None
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.is_integer() for c in self.coeffs)
+        return self._den == 1
 
     def has_cyclotomic_integer_coeffs(self) -> bool:
         return all(c.is_cyclotomic_integer() for c in self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # Two rational operands combine as integer numerators over one
+    # denominator; an irrational operand takes the CycQ coefficient loops.
 
     def __add__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return QPoly(out)
+        a, b = self._num, other._num
+        if a is None or b is None:
+            a, b = self.coeffs, other.coeffs
+            return QPoly([x + y for x, y in zip_longest(a, b, fillvalue=ZERO)])
+        da, db = self._den, other._den
+        if da != db:
+            den = lcm(da, db)
+            a, b = [x * (den // da) for x in a], [y * (den // db) for y in b]
+            da = den
+        return _rational([x + y for x, y in zip_longest(a, b, fillvalue=0)], da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
+        if self._num is None:
+            return QPoly([-c for c in self._cyc])
+        return _rational([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = _coerce_poly(other)
@@ -134,15 +171,11 @@ class QPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [CycQ(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-        return QPoly(out)
+        if not self or not other:
+            return _rational(())
+        if self._num is None or other._num is None:
+            return QPoly(_convolve(self.coeffs, other.coeffs, ZERO))
+        return _rational(_convolve(self._num, other._num, 0), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -160,10 +193,12 @@ class QPoly:
         other = _coerce_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if self.degree() < other.degree():
+            return QPoly(), self
+        if self._num is not None and other._num is not None:
+            return _int_divmod(self, other)
         rem = list(self.coeffs)
         dn = other.coeffs
-        if len(rem) < len(dn):
-            return QPoly(), self
         quo = [CycQ(0)] * (len(rem) - len(dn) + 1)
         lead_inv = dn[-1].inverse()
         for i in range(len(quo) - 1, -1, -1):
@@ -192,11 +227,15 @@ class QPoly:
 
     def conjugate(self) -> "QPoly":
         """Complex conjugation of coefficients (q is treated as real)."""
-        return QPoly([c.conjugate() for c in self.coeffs])
+        if self._num is not None:
+            return self
+        return QPoly([c.conjugate() for c in self._cyc])
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k (k >= 0)."""
-        return QPoly([CycQ(0)] * k + list(self.coeffs))
+        if self._num is None:
+            return QPoly([ZERO] * k + list(self._cyc))
+        return _rational((0,) * k + self._num, self._den)
 
     def evaluate(self, value) -> CycQ:
         out = CycQ(0)
@@ -210,7 +249,9 @@ class QPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        if self._num is None:
+            return other._num is None and self._cyc == other._cyc
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -255,29 +296,74 @@ class QPoly:
 
         Requires rational coefficients.
         """
-        if self.is_zero():
+        num = self._num
+        if num is None:
+            raise ValueError(f"{self} has non-rational coefficients")
+        if not num:
             return Fraction(0), QPoly()
-        fracs = [c.as_fraction() for c in self.coeffs]
-        from math import gcd, lcm
-
-        den = 1
-        for f in fracs:
-            den = lcm(den, f.denominator)
-        ints = [int(f * den) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, den), QPoly([v // g for v in ints])
+        g = gcd(*num) if num[-1] > 0 else -gcd(*num)
+        return Fraction(g, self._den), _rational([c // g for c in num])
 
 
 def _coerce_poly(value):
     if isinstance(value, QPoly):
         return value
-    if isinstance(value, (int, Fraction, CycQ)):
+    if isinstance(value, int):
+        return _rational((value,))
+    if isinstance(value, (Fraction, CycQ)):
         return QPoly([value])
     return NotImplemented
+
+
+def _canonical(num, den: int) -> tuple[tuple, int]:
+    """The integer form of sum num[i] q^i / den, for ints num and den > 0:
+    no trailing zero and gcd(den, *num) = 1."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    num = tuple(num[:n])
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple(c // g for c in num), den // g
+    return num, den
+
+
+def _rational(num, den: int = 1) -> QPoly:
+    out = object.__new__(QPoly)
+    out._num, out._den = _canonical(num, den)
+    out._cyc = None
+    return out
+
+
+def _int_divmod(a: QPoly, b: QPoly):
+    """divmod for rational a and b with deg a >= deg b, by pseudo-division of
+    the numerators: scale * a._num = quo * b._num + rem, where scale is a
+    power of |lead| taken only when lead does not divide a quotient digit."""
+    rem, dn = list(a._num), b._num
+    quo, lead, scale = [0] * (len(rem) - len(dn) + 1), dn[-1], 1
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(dn) - 1]
+        if c % lead:
+            m = abs(lead)
+            rem, quo, scale, c = [x * m for x in rem], [x * m for x in quo], scale * m, c * m
+        quo[i] = c = c // lead
+        if c:
+            for j, d in enumerate(dn, i):
+                rem[j] -= c * d
+    den = a._den * scale
+    return _rational([x * b._den for x in quo], den), _rational(rem, den)
+
+
+def _convolve(a, b, zero):
+    """The coefficients of the product of two nonzero polynomials."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = out[j] + x * y
+    return out
 
 
 def RatScalar(c: CycQ) -> QPoly:
@@ -451,7 +537,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -487,24 +573,23 @@ def _reduce(num: QPoly, k: int, exps: dict, cancel, scale=1):
         k = max(k, 0)
     if num.is_zero():
         return QPoly(), QPoly([1]), (0, ())
-    cs = [c.as_fraction() for c in num.coeffs]
+    ints, den = num._num, num._den * scale.denominator
     if scale != 1:
-        cs = [c * scale for c in cs]
+        ints = tuple(c * scale.numerator for c in ints)
     z = 0
-    while z < k and not cs[z]:
+    while z < k and not ints[z]:
         z += 1
-    cs, k = cs[z:], k - z
+    ints, k = ints[z:], k - z
     cancel = [d for d in cancel if exps.get(d, 0) > 0]
     if cancel:
-        common = lcm(*(c.denominator for c in cs))
-        ints = [c.numerator * (common // c.denominator) for c in cs]
         at_two = _at_two(ints)
         for d in cancel:
             ints, at_two, e = _strip_phi(ints, at_two, d, exps[d])
             exps[d] -= e
-        cs = [Fraction(c, common) for c in ints]
+    if ints is not num._num:
+        num = _rational(ints, den)
     exps = tuple((d, e) for d, e in sorted(exps.items()) if e > 0)
-    return QPoly(cs), _den_poly(k, exps), (k, exps)
+    return num, _den_poly(k, exps), (k, exps)
 
 
 @lru_cache(maxsize=4096)
@@ -607,7 +692,7 @@ def phi_factorize(poly: QPoly) -> PhiFactorization:
     if poly.is_zero():
         return PhiFactorization(Fraction(0), 0, (), QPoly([1]))
     content, primitive = poly.rational_content()
-    ints = [int(c.as_fraction()) for c in primitive.coeffs]
+    ints = primitive._num
     qpow = 0
     while not ints[qpow]:
         qpow += 1
@@ -617,7 +702,7 @@ def phi_factorize(poly: QPoly) -> PhiFactorization:
         ints, at_two, e = _strip_phi(ints, at_two, d)
         if e:
             phis.append((d, e))
-    return PhiFactorization(content, qpow, tuple(phis), QPoly(ints))
+    return PhiFactorization(content, qpow, tuple(phis), _rational(ints))
 
 
 def render_phi(fact: PhiFactorization) -> str:

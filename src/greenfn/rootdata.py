@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 
 from .linalg import solve_linear
-from .qpoly import QPoly, RatFunc
+from .qpoly import ArithmeticInvariantError, QPoly, RatFunc
 
 Vec = tuple
 Mat = tuple  # tuple of row-tuples of ints
@@ -68,7 +68,7 @@ def mat_inv_int(a: Mat) -> Mat:
     for i in range(r):
         for j in range(r):
             if cols[j][i] != out[i][j]:
-                raise ValueError("matrix is not unimodular over Z")
+                raise ArithmeticInvariantError("matrix is not unimodular over Z")
     return out
 
 
@@ -185,13 +185,13 @@ def _twisted_classes(group: dict, twist: tuple):
         seen |= orbit
         size = len(orbit)
         if len(group) % size:
-            raise ValueError("orbit size does not divide group order")
+            raise ArithmeticInvariantError("orbit size does not divide group order")
         mats = frozenset(group[p] for p in orbit)
         classes.append(TwistedClass(min(mats), mats, size, len(group) // size))
     classes.sort(key=lambda c: c.rep)
     total = sum(c.size for c in classes)
     if total != len(group):
-        raise ValueError("twisted classes do not partition the group")
+        raise ArithmeticInvariantError("twisted classes do not partition the group")
     return tuple(classes)
 
 
@@ -477,7 +477,7 @@ def _order_polynomial(datum: RootDatumF) -> QPoly:
         total = total + RatFunc(QPoly([cls.size]), torus_order)
     order = RatFunc(QPoly.q(2 * datum.n_positive) * QPoly([coset.order])) / total
     if not order.is_polynomial():
-        raise ValueError("group order from the maximal tori is not polynomial")
+        raise ArithmeticInvariantError("group order from the maximal tori is not polynomial")
     return order.as_qpoly()
 
 

@@ -25,7 +25,7 @@ from greenfn.cli import (
     main,
 )
 from greenfn.linalg import solve_linear
-from greenfn.qpoly import QPoly
+from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import export_pack, gl_springer
 
 
@@ -71,6 +71,15 @@ class TestTable:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "69ff9dd7d5233d8d63facfc86b4aa8f22d2befc6c6a5ba0d9690fdbed12e465a"
+        )
+
+    def test_gl7_digest(self, capsys):
+        # the whole table GL7, byte for byte as recorded before the integer
+        # coefficient kernel
+        code, out, _ = run(capsys, "table", "GL7")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f1f2bad66d90c356dd2ccac3a16019d2026fa96190c284983d268b7e4a7add06"
         )
 
     def test_deterministic_bytes(self, capsys):
@@ -122,6 +131,56 @@ def test_internal_arithmetic_error_exits_3(capsys, monkeypatch, fail, message):
     code, out, err = run(capsys, "table", "GL2")
     assert (code, out) == (EXIT_INVARIANT, "")
     assert err.startswith("invariant violated:") and message in err
+
+
+def _gl3_twisted_classes(words, twist):
+    """rootdata._twisted_classes on the elements of W(GL3) given as words in
+    the simple reflections 0 and 1, with the twist given as a word too."""
+    G = rootdata.gl(3)
+
+    def element(word):
+        out = rootdata.identity_mat(3)
+        for i in word:
+            out = rootdata.mat_mul_int(out, G.reflection(i))
+        return out
+
+    group = {G.root_permutation(w): w for w in map(element, words)}
+    return rootdata._twisted_classes(group, G.root_permutation(element(twist)))
+
+
+def _order_from_wrong_tori(monkeypatch):
+    # torus orders q, q + 1 for the two classes of W(GL2): the Steinberg sum
+    # 2 q^2 / (1/q + 1/(q + 1)) is not a polynomial
+    tori = iter(range(2))
+    monkeypatch.setattr(rootdata, "_charpoly", lambda a: QPoly([next(tori), 1]))
+    return rootdata._order_polynomial(rootdata.gl(2))
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        # {1, s0, s1, s0 s1 s0} is no group: the class of s0 in it has size 3
+        (lambda mp: _gl3_twisted_classes([(), (0,), (1,), (0, 1, 0)], ()), "does not divide"),
+        # twisted by s0 s1 s0, the orbit of s0 in {s0, s1} is {s1}
+        (lambda mp: _gl3_twisted_classes([(0,), (1,)], (0, 1, 0)), "do not partition"),
+        (_order_from_wrong_tori, "group order from the maximal tori is not polynomial"),
+        (lambda mp: rootdata.mat_inv_int(((2, 0), (0, 1))), "not unimodular"),
+    ],
+    ids=["orbit-size", "partition", "order-polynomial", "unimodular"],
+)
+def test_internal_invariant_error_exits_3(capsys, monkeypatch, fail, message):
+    monkeypatch.setattr(cli, "green_two_var_table", lambda *args: fail(monkeypatch))
+    code, out, err = run(capsys, "table", "GL2")
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.startswith("invariant violated:") and message in err
+
+
+def test_scalar_norm_not_polynomial_exits_3(capsys, monkeypatch):
+    # induced_gg_norm checks that the induced norm is a polynomial
+    monkeypatch.setattr(RatFunc, "is_polynomial", lambda self: False)
+    code, out, err = run(capsys, "scalar", "GL2")
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.startswith("invariant violated: induced norm")
 
 
 class TestScalarAndVerify:

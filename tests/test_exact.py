@@ -1,15 +1,18 @@
 """Tests for the exact coefficient rings: CycQ, QPoly, RatFunc, Phi display."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenfn.cyclo import CycQ, cyclotomic_int_coeffs, totient
+from greenfn.cyclo import CycQ, cyclotomic_int_coeffs, int_poly_quotient, totient
 from greenfn.linalg import mat_inverse, mat_mul, solve_linear
 from greenfn.qpoly import (
     DEFAULT_PHI_BOUND,
+    ArithmeticInvariantError,
     FactorizationRefused,
     PhiFactorization,
     PhiParseError,
@@ -105,18 +108,22 @@ def parts(r):
 def ref_phi_factorize(poly):
     """Reference factorization, frozen from the QPoly-level implementation
     that the integer trial division replaced: divide by QPoly.phi(n) over
-    CycQ for n = 1..DEFAULT_PHI_BOUND, then take the rational content."""
+    CycQ for n = 1..DEFAULT_PHI_BOUND, then take the rational content.
+    It factors a QPoly or a RefQPoly, in its own class."""
+    cls = type(poly)
     if not poly.has_rational_coeffs():
         raise FactorizationRefused(f"non-rational coefficients in {poly}")
     if poly.is_zero():
-        return PhiFactorization(Fraction(0), 0, (), QPoly([1]))
+        return PhiFactorization(Fraction(0), 0, (), cls([1]))
     qpow = 0
     while poly.coeffs[qpow].is_zero():
         qpow += 1
-    work = QPoly(poly.coeffs[qpow:])
+    work = cls(poly.coeffs[qpow:])
     phis = []
     for n in range(1, DEFAULT_PHI_BOUND + 1):
-        phi_n = QPoly.phi(n)
+        if totient(n) > work.degree():
+            continue  # Phi_n has degree phi(n) and cannot divide
+        phi_n = cls.phi(n)
         mult = 0
         while divmod(work, phi_n)[1].is_zero():
             work = work.exact_div(phi_n)
@@ -140,6 +147,363 @@ def check_factored(r):
 
 def conj_reference(num, den):
     return reduced(num.conjugate(), den.conjugate())
+
+
+# ---------------------------------------------------------------------------
+# frozen reference kernel
+#
+# A copy of QPoly and RatFunc as they were when every coefficient was a CycQ,
+# before rational polynomials became integers over one denominator.  It
+# shares only CycQ and the integer helpers of greenfn.cyclo with the code it
+# checks; Phi factors are found by ref_phi_factorize and by plain trial
+# division.
+
+
+def _ref_coerce_poly(value):
+    if isinstance(value, RefQPoly):
+        return value
+    if isinstance(value, (int, Fraction, CycQ)):
+        return RefQPoly([value])
+    return NotImplemented
+
+
+class RefQPoly:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        if isinstance(coeffs, (int, Fraction, CycQ)):
+            coeffs = [coeffs]
+        cs = [c if isinstance(c, CycQ) else CycQ(Fraction(c)) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def phi(cls, n):
+        return cls(list(cyclotomic_int_coeffs(n)))
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def leading(self):
+        return self.coeffs[-1]
+
+    def is_one(self):
+        return len(self.coeffs) == 1 and self.coeffs[0] == CycQ(1)
+
+    def has_rational_coeffs(self):
+        return all(c.is_rational() for c in self.coeffs)
+
+    def __add__(self, other):
+        other = _ref_coerce_poly(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return RefQPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefQPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-_ref_coerce_poly(other))
+
+    def __mul__(self, other):
+        other = _ref_coerce_poly(other)
+        if self.is_zero() or other.is_zero():
+            return RefQPoly()
+        out = [CycQ(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a.is_zero():
+                for j, b in enumerate(other.coeffs):
+                    if not b.is_zero():
+                        out[i + j] = out[i + j] + a * b
+        return RefQPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = RefQPoly([1])
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __divmod__(self, other):
+        other = _ref_coerce_poly(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dn = other.coeffs
+        if len(rem) < len(dn):
+            return RefQPoly(), self
+        quo = [CycQ(0)] * (len(rem) - len(dn) + 1)
+        lead_inv = dn[-1].inverse()
+        for i in range(len(quo) - 1, -1, -1):
+            c = rem[i + len(dn) - 1] * lead_inv
+            quo[i] = c
+            if not c.is_zero():
+                for j, d in enumerate(dn):
+                    rem[i + j] = rem[i + j] - c * d
+        return RefQPoly(quo), RefQPoly(rem)
+
+    def exact_div(self, other):
+        quo, rem = divmod(self, other)
+        assert rem.is_zero()
+        return quo
+
+    def gcd(self, other):
+        a, b = self, _ref_coerce_poly(other)
+        while not b.is_zero():
+            a, b = b, divmod(a, b)[1]
+        if a.is_zero():
+            return a
+        return a * RefQPoly([a.leading().inverse()])
+
+    def __eq__(self, other):
+        other = _ref_coerce_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c.is_zero():
+                continue
+            mono = "" if i == 0 else ("q" if i == 1 else f"q^{i}")
+            if c == CycQ(1) and mono:
+                term = mono
+            elif c == CycQ(-1) and mono:
+                term = f"-{mono}"
+            else:
+                cs = str(c)
+                if not c.is_rational() and len(c.coeffs) - len([x for x in c.coeffs if x == 0]) > 1 and mono:
+                    cs = f"({cs})"
+                term = f"{cs}{mono}" if mono else cs
+            if parts and not term.startswith("-"):
+                parts.append("+" + term)
+            else:
+                parts.append(term)
+        return "".join(parts)
+
+    def rational_content(self):
+        if self.is_zero():
+            return Fraction(0), RefQPoly()
+        fracs = [c.as_fraction() for c in self.coeffs]
+        den = 1
+        for f in fracs:
+            den = lcm(den, f.denominator)
+        ints = [int(f * den) for f in fracs]
+        g = 0
+        for v in ints:
+            g = gcd(g, abs(v))
+        if ints[-1] < 0:
+            g = -g
+        return Fraction(g, den), RefQPoly([v // g for v in ints])
+
+
+def _ref_coerce_rat(value):
+    if isinstance(value, RefRatFunc):
+        return value
+    return RefRatFunc(_ref_coerce_poly(value))
+
+
+@lru_cache(maxsize=None)
+def _ref_phi_split(poly):
+    if not poly.has_rational_coeffs():
+        return None
+    fact = ref_phi_factorize(poly)
+    return (fact.scalar, fact.qpow, fact.phis) if fact.residual.is_one() else None
+
+
+def _ref_den_poly(k, exps):
+    out = RefQPoly([0] * k + [1])
+    for d, e in exps:
+        out = out * RefQPoly.phi(d) ** e
+    return out
+
+
+def _ref_quotient(exps, sub):
+    return tuple((d, e - sub.get(d, 0)) for d, e in sorted(exps.items()) if e > sub.get(d, 0))
+
+
+def _ref_reduce(num, k, exps, cancel, scale=1):
+    low = tuple((d, -e) for d, e in sorted(exps.items()) if e < 0)
+    if k < 0 or low:
+        num = num * _ref_den_poly(max(-k, 0), low)
+        k = max(k, 0)
+    if num.is_zero():
+        return RefQPoly(), RefQPoly([1]), (0, ())
+    cs = [c.as_fraction() * scale for c in num.coeffs]
+    z = 0
+    while z < k and not cs[z]:
+        z += 1
+    cs, k = cs[z:], k - z
+    common = lcm(*(c.denominator for c in cs))
+    ints = [int(c * common) for c in cs]
+    for d in cancel:
+        while exps.get(d, 0) > 0:
+            quo = int_poly_quotient(ints, cyclotomic_int_coeffs(d))
+            if quo is None:
+                break
+            ints, exps[d] = quo, exps[d] - 1
+    exps = tuple((d, e) for d, e in sorted(exps.items()) if e > 0)
+    return RefQPoly([Fraction(c, common) for c in ints]), _ref_den_poly(k, exps), (k, exps)
+
+
+class RefRatFunc:
+    __slots__ = ("num", "den", "_fac")
+
+    def __init__(self, num, den=1):
+        num = _ref_coerce_poly(num)
+        den = _ref_coerce_poly(den)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        rational = num.has_rational_coeffs()
+        if den.is_one():
+            self.num, self.den, self._fac = num, den, ((0, ()) if rational else None)
+            return
+        split = _ref_phi_split(den) if rational else None
+        if split is not None:
+            c, k, exps = split
+            self.num, self.den, self._fac = _ref_reduce(num, k, dict(exps), dict(exps), 1 / c)
+            return
+        if num.is_zero():
+            self.num, self.den, self._fac = RefQPoly(), RefQPoly([1]), (0, ())
+            return
+        g = num.gcd(den)
+        if not g.is_one():
+            num, den = num.exact_div(g), den.exact_div(g)
+        lead_inv = RefQPoly([den.leading().inverse()])
+        self.num, self.den = num * lead_inv, den * lead_inv
+        split = _ref_phi_split(self.den) if self.num.has_rational_coeffs() else None
+        self._fac = None if split is None else split[1:]
+
+    @classmethod
+    def _factored(cls, num, k, exps, cancel, scale=1):
+        self = object.__new__(cls)
+        self.num, self.den, self._fac = _ref_reduce(num, k, exps, cancel, scale)
+        return self
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        other = _ref_coerce_rat(other)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        if self._fac is None or other._fac is None:
+            return RefRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        (ka, ea), (kb, eb) = self._fac, other._fac
+        ea, eb = dict(ea), dict(eb)
+        k, exps = max(ka, kb), {d: max(ea.get(d, 0), eb.get(d, 0)) for d in ea.keys() | eb.keys()}
+        num = self.num * _ref_den_poly(k - ka, _ref_quotient(exps, ea)) + other.num * _ref_den_poly(
+            k - kb, _ref_quotient(exps, eb)
+        )
+        return RefRatFunc._factored(num, k, exps, [d for d, e in ea.items() if eb.get(d) == e])
+
+    def __neg__(self):
+        out = object.__new__(RefRatFunc)
+        out.num, out.den, out._fac = -self.num, self.den, self._fac
+        return out
+
+    def __sub__(self, other):
+        return self + (-_ref_coerce_rat(other))
+
+    def __mul__(self, other):
+        other = _ref_coerce_rat(other)
+        if self._fac is None or other._fac is None:
+            return RefRatFunc(self.num * other.num, self.den * other.den)
+        (ka, ea), (kb, eb) = self._fac, other._fac
+        exps = dict(ea)
+        for d, e in eb:
+            exps[d] = exps.get(d, 0) + e
+        return RefRatFunc._factored(self.num * other.num, ka + kb, exps, exps)
+
+    def __truediv__(self, other):
+        other = _ref_coerce_rat(other)
+        split = None
+        if self._fac is not None and other._fac is not None:
+            split = _ref_phi_split(other.num)
+        if split is None:
+            return RefRatFunc(self.num * other.den, self.den * other.num)
+        c, j, f = split
+        (ka, ea), (kb, eb) = self._fac, other._fac
+        exps = dict(ea)
+        for d, e in eb:
+            exps[d] = exps.get(d, 0) - e
+        for d, e in f:
+            exps[d] = exps.get(d, 0) + e
+        return RefRatFunc._factored(self.num, ka + j - kb, exps, dict(f), 1 / c)
+
+    def __eq__(self, other):
+        other = _ref_coerce_rat(other)
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num.coeffs, self.den.coeffs))
+
+    def __str__(self):
+        if self.den.is_one():
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+
+def ref_render_poly(poly):
+    try:
+        return render_phi(ref_phi_factorize(poly))
+    except FactorizationRefused:
+        return str(poly)
+
+
+def to_ref(p):
+    return RefQPoly(p.coeffs)
+
+
+def check_canonical(p):
+    """The integer form QPoly documents: rational coefficients are integer
+    numerators with no trailing zero over a positive denominator prime to
+    them, zero is () over 1, and only irrational polynomials keep CycQ."""
+    if p._num is None:
+        assert any(not c.is_rational() for c in p._cyc)
+        assert p._cyc and not p._cyc[-1].is_zero()
+        return
+    assert all(type(c) is int for c in p._num) and type(p._den) is int
+    assert p._den > 0 and gcd(p._den, *p._num) == 1
+    assert not p._num or p._num[-1] != 0
+
+
+def assert_matches(got, want):
+    """A QPoly equals the reference result in value, form, text and hash."""
+    check_canonical(got)
+    assert got.coeffs == want.coeffs
+    assert got == QPoly(want.coeffs)
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+    assert render_poly(got) == ref_render_poly(want)
+
+
+def assert_ratfunc_matches(got, want):
+    assert_matches(got.num, want.num)
+    assert_matches(got.den, want.den)
+    assert got._fac == want._fac
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +791,94 @@ class TestRatFunc:
             return
         r = RatFunc(p)
         assert r * r.inverse() == RatFunc(1)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the frozen reference
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b) with a irrational and a + b rational: CycQ sums that cancel."""
+    a = draw(fields.flatmap(qpolys_in_field).filter(lambda p: not p.has_rational_coeffs()))
+    return a, draw(qpolys()) - a
+
+
+# rational, cyclotomic and mixed operands; each cyclotomic polynomial lies in
+# one of Q(zeta_n), n in 3, 4, 8, 12, so products stay in small fields
+poly_operands = st.one_of(qpolys(), fields.flatmap(qpolys_in_field))
+poly_pairs = st.one_of(st.tuples(poly_operands, poly_operands), cancelling_pairs())
+
+
+@st.composite
+def ratfunc_operands(draw, n):
+    """(num, den) over Q or Q(zeta_n): a Phi-product denominator, or any."""
+    general = st.tuples(
+        st.one_of(qpolys(max_degree=2), qpolys_in_field(n)),
+        qpolys(max_degree=2).filter(bool),
+    )
+    return draw(st.one_of(phi_fractions(n, max_factors=2), general))
+
+
+class TestFrozenReference:
+    @given(poly_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_qpoly_matches_reference(self, ab):
+        a, b = ab
+        ra, rb = to_ref(a), to_ref(b)
+        assert_matches(a, ra)
+        assert_matches(b, rb)
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra - rb)
+        assert_matches(a * b, ra * rb)
+        assert_matches(-a, -ra)
+        assert_matches(a + 3, ra + 3)
+        assert_matches(a * Fraction(-2, 3), ra * Fraction(-2, 3))
+        assert (a == b) == (ra == rb)
+        if not b.is_zero():
+            (quo, rem), (rquo, rrem) = divmod(a, b), divmod(ra, rb)
+            assert_matches(quo, rquo)
+            assert_matches(rem, rrem)
+            assert_matches((a * b).exact_div(b), ra)
+            if not rem.is_zero():
+                with pytest.raises(ArithmeticInvariantError):
+                    a.exact_div(b)
+        assert_matches(a.gcd(b), ra.gcd(rb))
+
+    @given(
+        st.sampled_from([3, 4]).flatmap(
+            lambda n: st.tuples(ratfunc_operands(n), ratfunc_operands(n))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ratfunc_matches_reference(self, xy):
+        (n1, d1), (n2, d2) = xy
+        a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+        ra, rb = RefRatFunc(to_ref(n1), to_ref(d1)), RefRatFunc(to_ref(n2), to_ref(d2))
+        assert_ratfunc_matches(a, ra)
+        assert_ratfunc_matches(b, rb)
+        assert_ratfunc_matches(a + b, ra + rb)
+        assert_ratfunc_matches(a - b, ra - rb)
+        assert_ratfunc_matches(a * b, ra * rb)
+        if not b.is_zero():
+            assert_ratfunc_matches(a / b, ra / rb)
+
+    def test_cancelling_cyclotomic_result_is_the_integer_polynomial(self):
+        q, z = QPoly.q(), CycQ.zeta(3)
+        # zeta_3 + zeta_3^2 = -1, coefficient by coefficient
+        total = QPoly([z, 2]) + QPoly([z * z])
+        built = QPoly([-1, 2])
+        assert total == built and hash(total) == hash(built)
+        assert total.has_integer_coeffs()
+        check_canonical(total)
+        # (q - zeta_3)(q - zeta_3^2) = Phi3, and the lru_cache of the Phi
+        # split sees one key
+        phi3 = (q - z) * (q - z * z)
+        assert phi3 == QPoly.phi(3) and hash(phi3) == hash(QPoly.phi(3))
+        assert {QPoly.phi(3): "Phi3"}[phi3] == "Phi3"
+        assert RatFunc(1, phi3)._fac == (0, ((3, 1),))
+        assert QPoly([z + z * z, CycQ(Fraction(1, 2))]) == QPoly([-1, Fraction(1, 2)])
+        assert (QPoly([z]) - QPoly([z])).is_zero() and QPoly([z]) * 0 == QPoly()
 
 
 # ---------------------------------------------------------------------------
