@@ -13,7 +13,14 @@ coset of C_G(u).  The class u^G is computed as the orbit of u under
 conjugation by a generating set of G^F: the transvections I + E_ij (i != j)
 and diag(g, 1, ..., 1) for a generator g of F_q^*.  The test suite checks
 that these generate the whole enumerated group for every supported (n, q).
-|C_G(u)| = |G^F| / |u^G|, with |G^F| counted from the enumeration.
+Each generator is s = I + a E_ij with s^{-1} = I + b E_ij (i = j = 0 for
+the diagonal one), so c -> s^{-1} c s is applied as two elementary
+operations, not two matrix products: add a (column i) to column j, then
+b (row j) to row i.  For a transvection b = -a; for diag(g, 1, ..., 1)
+this scales column 0 by g and row 0 by g^{-1}.  The test suite checks this
+against the product s^{-1} c s for every generator and every element of
+each supported group.  |C_G(u)| = |G^F| / |u^G|, with |G^F| counted from
+the enumeration.
 
 The count is certified against directly computed Harish-Chandra induction:
 for every irreducible character psi of L^F,
@@ -156,6 +163,29 @@ def generators(n, q):
     return tuple(pairs)
 
 
+def _elementary(s, s_inv):
+    """(i, j, a, b) with s = I + a E_ij and s^{-1} = I + b E_ij, for a pair
+    of ``generators``; the identity (diag(1) at q = 2) gives a = b = 0."""
+    n = len(s)
+    i, j = next(
+        ((i, j) for i in range(n) for j in range(n) if s[i][j] != (i == j)),
+        (0, 0),
+    )
+    return i, j, s[i][j] - (i == j), s_inv[i][j] - (i == j)
+
+
+def _conjugate(c, move, p):
+    """s^{-1} c s for the generator ``move`` = (i, j, a, b) of ``_elementary``:
+    c s adds a (column i) to column j, and s^{-1} (c s) then adds b (row j)
+    to row i."""
+    i, j, a, b = move
+    rows = [list(r) for r in c]
+    for r in rows:
+        r[j] = (r[j] + a * r[i]) % p
+    rows[i] = [(x + b * y) % p for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
 # ---------------------------------------------------------------------------
 # the group
 
@@ -171,7 +201,7 @@ class FiniteGL:
         self.elements = tuple(
             m for m in _iter_product(rows, repeat=n) if _det(m, q)
         )
-        self._generators = generators(n, q)
+        self._moves = tuple(_elementary(s, s_inv) for s, s_inv in generators(n, q))
         self._classes = {}  # matrix -> its conjugacy class
         self._levi_orders = {}  # composition -> |L^F|
 
@@ -193,8 +223,8 @@ class FiniteGL:
             frontier = [m]
             while frontier:
                 c = frontier.pop()
-                for s, s_inv in self._generators:
-                    d = self.mul(self.mul(s_inv, c), s)
+                for move in self._moves:
+                    d = _conjugate(c, move, self.q)
                     if d not in seen:
                         seen.add(d)
                         frontier.append(d)

@@ -942,7 +942,10 @@ def cartan_type(spec: str) -> RootDatumF:
     """
     text = spec.strip()
     if text.upper().startswith("GL"):
-        return gl(int(text[2:]))
+        n = int(text[2:])
+        if n < 1:
+            raise ValueError(f"type GL{n} needs rank at least 1")
+        return gl(n)
     twisted = False
     if text.startswith("2"):
         twisted = True

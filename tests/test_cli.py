@@ -118,6 +118,22 @@ class TestTable:
             assert (code, out) == (EXIT_DATA, "")
             assert err.startswith(f"error: type {label} does not exist")
 
+    @pytest.mark.parametrize("label", ["GL0", "GL-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table"],
+            ["verify"],
+            ["scalar"],
+            ["pack-export"],
+            ["oracle-compare", "--q", "2"],
+        ],
+    )
+    def test_gl_rank_below_one_rejected(self, capsys, argv, label):
+        code, out, err = run(capsys, *argv, "--", label)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"error: type {label} needs rank at least 1\n"
+
 
 @pytest.mark.parametrize(
     "fail, message",
@@ -205,6 +221,19 @@ class TestOracleCompare:
         code, out, _ = run(capsys, "oracle-compare", "GL2", "--q", "2")
         assert code == EXIT_OK
         assert "2 entries OK" in out
+
+    @pytest.mark.parametrize(
+        "levi, shown, entries",
+        [(None, "[]", 3), ("0", "[0]", 6), ("1", "[1]", 6), ("0,1", "[0, 1]", 9)],
+    )
+    def test_gl3_at_q3(self, capsys, levi, shown, entries):
+        # entries: 3 classes u of GL3 times the unipotent classes v of L
+        options = [] if levi is None else ["--levi", levi]
+        code, out, _ = run(capsys, "oracle-compare", "GL3", "--q", "3", *options)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            f"oracle-compare group=GL3 q=3 levi={shown}: {entries} entries OK"
+        )
 
 
 class TestPacks:

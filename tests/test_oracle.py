@@ -6,11 +6,15 @@ from itertools import permutations, product
 
 import pytest
 
+from greenfn import oracle
 from greenfn.characters import partitions
 from greenfn.cyclo import CycQ
 from greenfn.oracle import (
     FiniteGL,
     OracleError,
+    _conjugate,
+    _elementary,
+    _mat_mul,
     generators,
     gl1_characters,
     gl2_characters,
@@ -73,6 +77,11 @@ class TestGroups:
         assert sizes == {(3,): 42, (2, 1): 21, (1, 1, 1): 1}
         sizes2 = FiniteGL(2, 3).unipotent_class_sizes()
         assert sizes2 == {(2,): 8, (1, 1): 1}
+        # [DERIVED] GL3(F3), |G| = 11232: the regular class has centralizer
+        # q^2 (q - 1) = 18 and (2, 1) has q^3 (q - 1)^2 = 108, so the sizes
+        # are 11232 / 18 = 624 and 11232 / 108 = 104, and 624 + 104 + 1 = 3^6
+        sizes3 = FiniteGL(3, 3).unipotent_class_sizes()
+        assert sizes3 == {(3,): 624, (2, 1): 104, (1, 1, 1): 1}
 
 
 class TestConjugacyClasses:
@@ -94,6 +103,27 @@ class TestConjugacyClasses:
                     closure.add(d)
                     frontier.append(d)
         assert closure == set(G.elements)
+
+    @pytest.mark.parametrize("n,p", SUPPORTED)
+    def test_conjugation_matches_matrix_product(self, n, p, monkeypatch):
+        G = FiniteGL(n, p)
+        pairs = generators(n, p)
+        for s, s_inv in pairs:
+            move = _elementary(s, s_inv)
+            assert [_conjugate(c, move, p) for c in G.elements] == [
+                _mat_mul(_mat_mul(s_inv, c, p), s, p) for c in G.elements
+            ], move
+        # the orbit search conjugates each class member by every generator
+        calls = []
+
+        def counted(c, move, q):
+            calls.append(move)
+            return _conjugate(c, move, q)
+
+        monkeypatch.setattr(oracle, "_conjugate", counted)
+        size = sum(G.unipotent_class_sizes().values())
+        assert len(calls) == size * len(pairs)
+        assert len(set(calls)) == len(pairs)
 
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
     def test_orbit_count_matches_group_scan(self, n, p):
