@@ -6,6 +6,11 @@ TwistedCoset; the Hermitian pairing is
 
     <f, g> = |W|^{-1} * sum_{w in W} f(wF) * conjugate(g(wF)).
 
+Induction and restriction between cosets with one twist read only class
+representatives, class sizes and the class fusion of ``rootdata``: a class
+of the subcoset lies in the class of the big coset that holds its
+representative.
+
 Character tables are computed from the structure tag detected on the coset:
 products of symmetric groups via the Murnaghan-Nakayama rule, dihedral and
 cyclic groups from closed formulae.  For a split coset (trivial twist action)
@@ -22,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 
 from .cyclo import CycQ
-from .rootdata import TwistedCoset, identity_mat, mat_inv_int, mat_mul_int
+from .rootdata import TwistedCoset, class_fusion, identity_mat, mat_mul_int
 
 
 class DataPackRequired(ValueError):
@@ -43,34 +48,6 @@ class CosetClassFunction:
     def __post_init__(self):
         if len(self.values) != len(self.coset.classes):
             raise ValueError("value count does not match class count")
-
-    def __call__(self, class_index: int):
-        return self.values[class_index]
-
-    def __add__(self, other):
-        _same_coset(self, other)
-        return CosetClassFunction(
-            self.coset, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __sub__(self, other):
-        _same_coset(self, other)
-        return CosetClassFunction(
-            self.coset, tuple(a - b for a, b in zip(self.values, other.values))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, CosetClassFunction):
-            _same_coset(self, other)
-            return CosetClassFunction(
-                self.coset, tuple(a * b for a, b in zip(self.values, other.values))
-            )
-        return CosetClassFunction(self.coset, tuple(v * other for v in self.values))
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return CosetClassFunction(self.coset, tuple(v.conjugate() for v in self.values))
 
 
 def _same_coset(f, g):
@@ -105,37 +82,26 @@ def trivial_character(coset: TwistedCoset) -> CosetClassFunction:
 
 
 def restrict(g: CosetClassFunction, sub: TwistedCoset) -> CosetClassFunction:
-    """Restriction along an inclusion of cosets (same ambient twist)."""
-    _check_embedding(sub, g.coset)
-    vals = tuple(g.values[g.coset.class_index_of(cls.rep)] for cls in sub.classes)
-    return CosetClassFunction(sub, vals)
+    """Restriction along an inclusion of cosets with the same twist: each
+    class of ``sub`` takes the value of the class it fuses into."""
+    fusion = class_fusion(sub, g.coset)
+    return CosetClassFunction(sub, tuple(g.values[i] for i, _ in fusion))
 
 
 def induce(f: CosetClassFunction, big: TwistedCoset) -> CosetClassFunction:
-    """Coset induction: (Ind f)(C) = |W_L|^{-1} (|W_G|/|C|) sum_{x in C ∩ W_L} f(x)."""
+    """Coset induction: (Ind f)(C) = |W_L|^{-1} (|W_G|/|C|) sum_c |c| f(c), the
+    sum over the classes c of W_L fused into C (``class_fusion``)."""
     sub = f.coset
-    _check_embedding(sub, big)
-    sub_set = set(sub.elements)
-    vals = []
-    for cls in big.classes:
-        total = None
-        for x in sorted(cls.elements & sub_set):
-            v = f.values[sub.class_index_of(x)]
-            total = v if total is None else total + v
-        if total is None:
-            total = CycQ(0)
-        scale = Fraction(big.order, sub.order * cls.size)
-        vals.append(total * scale)
-    return CosetClassFunction(big, tuple(vals))
-
-
-def _check_embedding(sub: TwistedCoset, big: TwistedCoset):
-    if not set(sub.elements) <= set(big.elements):
-        raise ValueError("sub coset is not contained in the big coset")
-    if sub.twist != big.twist:
-        tw = mat_mul_int(sub.twist, mat_inv_int(big.twist))
-        if tw not in set(big.elements):
-            raise ValueError("incompatible twists between cosets")
+    totals = [CycQ(0)] * len(big.classes)
+    for (i, _), cls, v in zip(class_fusion(sub, big), sub.classes, f.values):
+        totals[i] = totals[i] + v * Fraction(cls.size)
+    return CosetClassFunction(
+        big,
+        tuple(
+            total * Fraction(big.order, sub.order * cls.size)
+            for total, cls in zip(totals, big.classes)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +149,11 @@ def character_table(coset: TwistedCoset) -> CharacterTable:
 
 
 def _is_nontrivially_twisted(coset: TwistedCoset) -> bool:
+    """Whether the twist fails to commute with some element of the group."""
     tw = coset.twist
     if tw == identity_mat(len(tw)):
         return False
-    tw_inv = mat_inv_int(tw)
-    return any(
-        mat_mul_int(mat_mul_int(tw, g), tw_inv) != g for g in coset.elements
-    )
+    return any(mat_mul_int(tw, g) != mat_mul_int(g, tw) for g in coset.elements)
 
 
 # -- symmetric group products ------------------------------------------------

@@ -27,10 +27,9 @@ from .green import SolverError, green_orthogonality
 from .cyclo import CycQ
 from .oracle import FiniteGL, OracleError
 from .qpoly import ArithmeticInvariantError, PhiParseError, render_poly
-from .rootdata import cartan_type
+from .rootdata import cartan_type, gl_block_sizes
 from .springer import (
     export_pack,
-    gl_block_sizes,
     gl_levi_class_label,
     gl_springer,
     load_pack,

@@ -1,9 +1,10 @@
 """
 Brute-force oracles over tiny finite fields, independent of the solver.
 
-FiniteGL enumerates GL_n(F_q) for n <= 3 and prime q in {2, 3} as explicit
-matrices.  The two-variable function is obtained by counting.  For the
-block upper-triangular parabolic P = L U of a composition,
+FiniteGL works in GL_n(F_q) for n <= 3 and prime q in {2, 3} with explicit
+matrices, without listing the group.  The two-variable function is obtained
+by counting.  For the block upper-triangular parabolic P = L U of a
+composition,
 
     Q(u, v) = (|L^F| |U^F|)^{-1} #{x in G^F : x^{-1} u x in v U^F}
             = |C_G(u)| |u^G ∩ v U^F| / (|L^F| |U^F|),
@@ -11,16 +12,17 @@ block upper-triangular parabolic P = L U of a composition,
 because x -> x^{-1} u x maps G^F onto the class u^G and each fibre is a
 coset of C_G(u).  The class u^G is computed as the orbit of u under
 conjugation by a generating set of G^F: the transvections I + E_ij (i != j)
-and diag(g, 1, ..., 1) for a generator g of F_q^*.  The test suite checks
-that these generate the whole enumerated group for every supported (n, q).
-Each generator is s = I + a E_ij with s^{-1} = I + b E_ij (i = j = 0 for
-the diagonal one), so c -> s^{-1} c s is applied as two elementary
-operations, not two matrix products: add a (column i) to column j, then
-b (row j) to row i.  For a transvection b = -a; for diag(g, 1, ..., 1)
-this scales column 0 by g and row 0 by g^{-1}.  The test suite checks this
-against the product s^{-1} c s for every generator and every element of
-each supported group.  |C_G(u)| = |G^F| / |u^G|, with |G^F| counted from
-the enumeration.
+and diag(g, 1, ..., 1) for a generator g of F_q^*.  The test suite
+enumerates the group for every supported (n, q) and checks that these
+generate all of it.  Each generator is s = I + a E_ij with
+s^{-1} = I + b E_ij (i = j = 0 for the diagonal one), so c -> s^{-1} c s is
+applied as two elementary operations, not two matrix products: add
+a (column i) to column j, then b (row j) to row i.  For a transvection
+b = -a; for diag(g, 1, ..., 1) this scales column 0 by g and row 0 by
+g^{-1}.  The test suite checks this against the product s^{-1} c s for
+every generator and every element of each supported group.
+|C_G(u)| = |G^F| / |u^G|, with |G^F| = prod_{k<n} (q^n - q^k), which the
+test suite checks against the number of enumerated matrices.
 
 The count is certified against directly computed Harish-Chandra induction:
 for every irreducible character psi of L^F,
@@ -190,24 +192,25 @@ def _conjugate(c, move, p):
 # the group
 
 
+def _gl_order(n, q):
+    return math.prod(q**n - q**k for k in range(n))
+
+
 class FiniteGL:
-    """GL_n(F_q) as an explicit list of matrices (n <= 3, q in {2, 3})."""
+    """GL_n(F_q) through its matrices and generators (n <= 3, q in {2, 3})."""
 
     def __init__(self, n: int, q: int):
         if n > 3 or q not in (2, 3):
             raise ValueError("oracle supports n <= 3 and q in {2, 3}")
         self.n, self.q = n, q
-        rows = tuple(_iter_product(range(q), repeat=n))
-        self.elements = tuple(
-            m for m in _iter_product(rows, repeat=n) if _det(m, q)
-        )
         self._moves = tuple(_elementary(s, s_inv) for s, s_inv in generators(n, q))
         self._classes = {}  # matrix -> its conjugacy class
-        self._levi_orders = {}  # composition -> |L^F|
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        """|GL_n(F_q)| = prod_{k<n} (q^n - q^k), counting the choices of
+        each column outside the span of the previous ones."""
+        return _gl_order(self.n, self.q)
 
     def mul(self, a, b):
         return _mat_mul(a, b, self.q)
@@ -295,15 +298,8 @@ class FiniteGL:
         return tuple(blocks)
 
     def levi_order(self, composition) -> int:
-        """|L^F|, each block counted by enumerating its GL_s(F_q)."""
-        order = self._levi_orders.get(composition)
-        if order is None:
-            order = math.prod(
-                self.order if s == self.n else FiniteGL(s, self.q).order
-                for s in composition
-            )
-            self._levi_orders[composition] = order
-        return order
+        """|L^F|, the product of the orders of the blocks' GL_s(F_q)."""
+        return math.prod(_gl_order(s, self.q) for s in composition)
 
     def levi_embed(self, blocks, composition):
         spans = self._blocks(composition)

@@ -11,7 +11,9 @@ a product is tuple indexing and an inverse an argsort.  Each element's
 integer matrix on X (column convention) is multiplied out once, when the
 element is found, and the public results (``TwistedCoset``) hold the
 matrices, so that Weyl groups of Levi subdata embed literally into the
-parent group and class fusion is set intersection.  The module provides
+parent group.  Consumers read a coset through its twisted classes: a
+representative, a size and, for a subcoset, the class of the parent that
+the representative lies in (``class_fusion``).  The module provides
 twisted conjugacy classes, relative Weyl groups of Levi subgroups, order
 polynomials of tori / centres / groups, and the component group of the
 centre with its F-action.
@@ -27,9 +29,11 @@ Finite Groups of Lie Type, 3.3), unless the datum carries a degree table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter, mul
 
 from .linalg import solve_linear
@@ -146,7 +150,6 @@ class TwistedCoset:
     classes: tuple
     structure: tuple | None = None
     class_labels: tuple | None = None
-    block_data: tuple | None = None  # for symmetric-product structure
 
     @property
     def order(self) -> int:
@@ -526,24 +529,27 @@ def relative_weyl_group(G: RootDatumF, L0: LeviDatum) -> TwistedCoset:
     }
     phi = L0.frobenius_twist()
     classes = _twisted_classes(stab, G.root_permutation(phi))
-    structure, labels, block_data = _detect_structure(G, L0, stab, classes)
-    return TwistedCoset(
-        tuple(sorted(stab.values())), phi, classes, structure, labels, block_data
-    )
+    structure, labels = _detect_structure(G, L0, stab, classes)
+    return TwistedCoset(tuple(sorted(stab.values())), phi, classes, structure, labels)
 
 
 def class_fusion(sub: TwistedCoset, big: TwistedCoset):
-    """For each class of ``sub``, the index of the ``big`` class containing it
-    and the intersection count |(wF)^{big} ∩ sub|."""
-    sub_set = set(sub.elements)
-    if not sub_set <= set(big.elements):
+    """For each class of ``sub``, the index of the ``big`` class containing
+    its representative and the intersection count |(wF)^{big} ∩ sub|.
+
+    With one twist for both cosets, twisted conjugacy in ``sub`` implies it
+    in ``big``, so each ``big`` class meets ``sub`` in whole ``sub`` classes
+    and the count is the total size of those fused into it.
+    """
+    if sub.twist != big.twist:
+        raise ValueError("sub and big cosets have different twists")
+    if not set(sub.elements) <= big._class_index.keys():
         raise ValueError("sub coset is not contained in the big coset")
-    out = []
-    for cls in sub.classes:
-        big_idx = big.class_index_of(cls.rep)
-        inter = len(big.classes[big_idx].elements & sub_set)
-        out.append((big_idx, inter))
-    return out
+    index = [big.class_index_of(cls.rep) for cls in sub.classes]
+    fused = Counter()
+    for i, cls in zip(index, sub.classes):
+        fused[i] += cls.size
+    return [(i, fused[i]) for i in index]
 
 
 # ---------------------------------------------------------------------------
@@ -551,105 +557,71 @@ def class_fusion(sub: TwistedCoset, big: TwistedCoset):
 
 
 def _detect_structure(G, L0, group, classes):
-    """Structure tag, class labels and block data of ``group``, a dict root
-    permutation -> matrix, for the character tables."""
+    """Structure tag and class labels of ``group``, a dict root permutation
+    -> matrix, for the character tables."""
     if G.gl_size is not None:
-        got = _gl_block_structure(G, L0, sorted(group.values()), classes)
-        if got is not None:
-            return got
+        return _gl_block_structure(G, L0, classes)
     if len(group) == 1:
-        return ("trivial",), ("1",) * len(classes), None
+        return ("trivial",), ("1",) * len(classes)
     # scan in the order of the matrices, which fixes the chosen generators
     perm_of = {w: p for p, w in sorted(group.items(), key=lambda item: item[1])}
-    dih = _dihedral_structure(perm_of, classes)
-    if dih is not None:
-        return dih
-    return _cyclic_structure(perm_of, classes)
+    return _dihedral_structure(perm_of, classes) or _cyclic_structure(perm_of, classes)
 
 
-def _gl_block_structure(G, L0, elements, classes):
-    """For GL_n and a standard Levi: the group permutes the blocks of the
-    composition; it is the product over its orbits on blocks of the full
-    symmetric groups of those orbits, giving partition-labeled characters."""
-    n = G.gl_size
-    # composition blocks: consecutive coordinate intervals.  The simple roots
-    # of L0 are of the form e_a - e_{a+1}; each joins coordinates a, a+1.
-    joined = set()
-    for j in L0.subset:
-        root = G.simple_roots[j]
-        if sum(abs(v) for v in root) != 2 or 1 not in root:
-            return None
-        joined.add(root.index(1))
-    blocks = []
-    start = 0
-    cut = set(range(n - 1)) - joined
-    for i in sorted(cut):
-        blocks.append(tuple(range(start, i + 1)))
-        start = i + 1
-    blocks.append(tuple(range(start, n)))
-    sizes = [len(b) for b in blocks]
-    # each element must induce a coordinate permutation mapping blocks to blocks
-    perms = {}
-    for w in elements:
-        coord = _as_coord_permutation(w, n)
-        if coord is None:
-            return None
-        bp = []
-        for b in blocks:
-            img = tuple(sorted(coord[c] for c in b))
-            if img not in blocks:
-                return None
-            bp.append(blocks.index(img))
-        perms[w] = tuple(bp)
-    if len(set(perms.values())) != len(elements):
-        return None
-    # orbits of the group on blocks, ordered by smallest block index
-    parent = list(range(len(blocks)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for bp in perms.values():
-        for i, j in enumerate(bp):
-            parent[find(i)] = find(j)
-    orbit_of = {}
-    for i in range(len(blocks)):
-        orbit_of.setdefault(find(i), []).append(i)
-    orbits = sorted(orbit_of.values(), key=min)
-    # orbits must consist of equal-size blocks, and the group must be the
-    # full product of symmetric groups on the orbits
-    for orbit in orbits:
-        if len({sizes[i] for i in orbit}) != 1:
-            return None
-    if len(elements) != math.prod(math.factorial(len(o)) for o in orbits):
-        return None
-    labels = []
+def _gl_block_structure(G, L0, classes):
+    """For GL_n and a standard Levi L0: the relative Weyl group permutes the
+    blocks of the composition and is the product of the full symmetric
+    groups of its orbits on them; a class is labeled by the cycle types of
+    its representative on the orbits.  Only the representatives are read:
+    permutation matrices on Z^n that together generate the group.  Any
+    departure from this raises ArithmeticInvariantError."""
+    # the simple roots of L0 are e_a - e_{a+1}; each joins coordinates a, a+1
+    sizes = gl_block_sizes(G.gl_size, {G.simple_roots[j].index(1) for j in L0.subset})
+    blocks = [range(end - s, end) for s, end in zip(sizes, accumulate(sizes))]
+    block_index = {frozenset(b): k for k, b in enumerate(blocks)}
+    # a permutation matrix sends e_j, its column j, to a unit vector e_i
+    unit = {e: i for i, e in enumerate(identity_mat(G.gl_size))}
+    perms = []
     for cls in classes:
-        bp = perms[cls.rep]
-        labels.append(tuple(_cycle_type_on(bp, orbit) for orbit in orbits))
-    structure = ("symmetric_product", tuple(len(o) for o in orbits))
-    block_data = (
-        tuple(blocks),
-        tuple(tuple(o) for o in orbits),
-        {w: perms[w] for w in elements},
-    )
-    return structure, tuple(labels), block_data
+        coord = [unit.get(col) for col in zip(*cls.rep)]
+        bp = tuple(block_index.get(frozenset(coord[c] for c in b)) for b in blocks)
+        if None in bp:
+            raise ArithmeticInvariantError(
+                "relative Weyl group element does not permute the Levi's blocks"
+            )
+        perms.append(bp)
+    # orbits on blocks: merge along each representative's block permutation
+    orbit_of = {k: {k} for k in range(len(blocks))}
+    for bp in perms:
+        for k, j in enumerate(bp):
+            if j not in orbit_of[k]:
+                merged = orbit_of[k] | orbit_of[j]
+                for x in merged:
+                    orbit_of[x] = merged
+    orbits = sorted(map(sorted, {frozenset(o) for o in orbit_of.values()}))
+    order = sum(cls.size for cls in classes)
+    if order != math.prod(math.factorial(len(o)) for o in orbits):
+        raise ArithmeticInvariantError(
+            f"relative Weyl group of order {order} is not the product of the "
+            "symmetric groups of its orbits on the Levi's blocks"
+        )
+    labels = tuple(tuple(_cycle_type_on(bp, o) for o in orbits) for bp in perms)
+    if len(set(labels)) != len(labels):
+        raise ArithmeticInvariantError("two relative Weyl classes have one cycle type")
+    return ("symmetric_product", tuple(len(o) for o in orbits)), labels
 
 
-def _as_coord_permutation(w, n):
-    """If w acts on the first n coordinates as a permutation matrix, return
-    the permutation (image list)."""
-    out = [None] * n
-    for j in range(n):
-        col = [w[i][j] for i in range(n)]
-        ones = [i for i, v in enumerate(col) if v == 1]
-        if len(ones) != 1 or any(v not in (0, 1) for v in col):
-            return None
-        out[j] = ones[0]
-    return tuple(out)
+def gl_block_sizes(n, subset):
+    """Block sizes of the GL_n Levi whose simple roots are ``subset``: the
+    root e_a - e_{a+1} for each a in ``subset`` joins coordinates a, a+1."""
+    sizes = []
+    start = 0
+    cut = set(range(n - 1)) - set(subset)
+    for i in sorted(cut):
+        sizes.append(i + 1 - start)
+        start = i + 1
+    sizes.append(n - start)
+    return tuple(sizes)
 
 
 def _cycle_type_on(perm, idxs):
@@ -695,7 +667,7 @@ def _dihedral_structure(perm_of, classes):
                 _dihedral_class_label(perm_of[cls.rep], powers, pt, m)
                 for cls in classes
             )
-            return ("dihedral", m), labels, (r, t)
+            return ("dihedral", m), labels
     return None
 
 
@@ -718,8 +690,8 @@ def _cyclic_structure(perm_of, classes):
             labels = tuple(
                 f"g{min(powers[perm_of[e]] for e in cls.elements)}" for cls in classes
             )
-            return ("cyclic", order, g), labels, None
-    return None, None, None
+            return ("cyclic", order, g), labels
+    return None, None
 
 
 # ---------------------------------------------------------------------------

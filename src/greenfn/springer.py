@@ -26,8 +26,8 @@ from itertools import product as _iter_product
 
 from .characters import DataPackRequired, character_table, partitions
 from .cyclo import CycQ, totient
-from .qpoly import PhiParseError, QPoly, parse_phi_string, render_poly
-from .rootdata import LeviDatum, RootDatumF, cartan_type, gl
+from .qpoly import ArithmeticInvariantError, PhiParseError, QPoly, parse_phi_string, render_poly
+from .rootdata import LeviDatum, RootDatumF, cartan_type, gl, gl_block_sizes
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def gl_centralizer_order(lam) -> QPoly:
             shift += j
     quo, rem = divmod(out, QPoly.q(shift))
     if not rem.is_zero():
-        raise AssertionError("centralizer order not integral")
+        raise ArithmeticInvariantError("centralizer order not integral")
     return quo
 
 
@@ -251,37 +251,7 @@ def gl_springer(n: int) -> SpringerTable:
 
     One table per n is shared by the whole process, so what it keeps (solved
     blocks, Levi tables) is computed once."""
-    G = gl(n)
-    parts = partitions(n)
-    classes = []
-    systems = []
-    for lam in parts:
-        lt = transpose_partition(lam)
-        dim = n * n - sum(v * v for v in lt)
-        below = frozenset(
-            partition_label(mu) for mu in parts if mu != lam and dominates(lam, mu)
-        )
-        classes.append(
-            UnipotentClass(
-                label=partition_label(lam),
-                dimension=dim,
-                below=below,
-                component_group=(),
-                f_classes=("1",),
-                c0_order=gl_centralizer_order(lam),
-            )
-        )
-        systems.append(
-            LocalSystem(
-                class_label=partition_label(lam),
-                chi=(CycQ(1),),
-                block=0,
-                c_value=n_of_partition(lam),
-                irrep=(lam,),
-            )
-        )
-    blocks = (Block(0, (), "torus/trivial"),)
-    return SpringerTable(G, classes, systems, blocks, induced_map=_gl_induced(n))
+    return _gl_product_table(gl(n), (n,), _gl_induced(n))
 
 
 def gl_levi_springer(L: LeviDatum) -> SpringerTable:
@@ -294,8 +264,13 @@ def gl_levi_springer(L: LeviDatum) -> SpringerTable:
     G = L.parent
     if G.gl_size is None:
         raise DataPackRequired("Levi Springer table: only generated inside GL_n")
-    n = G.gl_size
-    sizes = gl_block_sizes(n, L.subset)
+    return _gl_product_table(L.as_datum(), gl_block_sizes(G.gl_size, L.subset), None)
+
+
+def _gl_product_table(datum, sizes, induced_map) -> SpringerTable:
+    """The Springer table of GL_{s_1} x ... x GL_{s_k} for the block
+    ``sizes``: a class per tuple of partitions (comma-joined labels), closure
+    by dominance in each block, and one principal block over the torus."""
     tuples = list(_iter_product(*[partitions(s) for s in sizes]))
     classes = []
     systems = []
@@ -334,7 +309,7 @@ def gl_levi_springer(L: LeviDatum) -> SpringerTable:
             )
         )
     blocks = (Block(0, (), "torus/trivial"),)
-    return SpringerTable(L.as_datum(), classes, systems, blocks)
+    return SpringerTable(datum, classes, systems, blocks, induced_map=induced_map)
 
 
 def _gl_induced(n: int):
@@ -353,18 +328,6 @@ def _gl_induced(n: int):
         return partition_label(tuple(sorted(total, reverse=True)))
 
     return induced
-
-
-def gl_block_sizes(n, subset):
-    """Block sizes of the GL_n Levi whose simple roots are ``subset``."""
-    sizes = []
-    start = 0
-    cut = set(range(n - 1)) - set(subset)
-    for i in sorted(cut):
-        sizes.append(i + 1 - start)
-        start = i + 1
-    sizes.append(n - start)
-    return tuple(sizes)
 
 
 def gl_levi_class_label(partitions_per_block) -> str:

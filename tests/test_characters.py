@@ -23,6 +23,7 @@ from greenfn.cyclo import CycQ
 from greenfn.qpoly import QPoly
 from greenfn.rootdata import (
     cartan_type,
+    class_fusion,
     gl,
     relative_weyl_group,
     torus,
@@ -155,6 +156,23 @@ class TestInductionRestriction:
         assert inner_product(induce(f, self.WG), g) == inner_product(
             f, restrict(g, self.WL)
         )
+
+    def test_different_twists_refused(self):
+        # the coset of the twisted torus gl(2).levi((), s) is the single
+        # element s*phi of the class of s in W(GL2), but its representative
+        # is the identity: fusing by representative would put it in the
+        # class of 1, so a coset with another twist is refused
+        G2 = gl(2)
+        LD = G2.levi((), G2.reflection(0)).as_datum()
+        sub = relative_weyl_group(LD, LD.levi(()))
+        big = relative_weyl_group(G2, G2.levi(()))
+        assert sub.elements[0] in big.elements and sub.twist != big.twist
+        with pytest.raises(ValueError, match="different twists"):
+            class_fusion(sub, big)
+        with pytest.raises(ValueError, match="different twists"):
+            induce(trivial_character(sub), big)
+        with pytest.raises(ValueError, match="different twists"):
+            restrict(trivial_character(big), sub)
 
     def test_transitivity(self):
         # Ind is transitive along T < L < G in the relative groups

@@ -17,13 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenfn
-from greenfn import cli, rootdata
+from greenfn import cli, oracle, rootdata, springer, twovar
 from greenfn.cli import (
     EXIT_DATA,
     EXIT_INVARIANT,
+    EXIT_MISMATCH,
     EXIT_OK,
     main,
 )
+from greenfn.gelfand import gg_norm
 from greenfn.linalg import solve_linear
 from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import export_pack, gl_springer
@@ -172,6 +174,14 @@ def _order_from_wrong_tori(monkeypatch):
     return rootdata._order_polynomial(rootdata.gl(2))
 
 
+def _block_structure_of_a_shear(monkeypatch):
+    # a class of W(GL2) whose representative is not a permutation matrix
+    G = rootdata.gl(2)
+    shear = ((1, 1), (0, 1))
+    cls = rootdata.TwistedClass(shear, frozenset({shear}), 1, 1)
+    return rootdata._gl_block_structure(G, G.levi(()), (cls,))
+
+
 @pytest.mark.parametrize(
     "fail, message",
     [
@@ -181,8 +191,11 @@ def _order_from_wrong_tori(monkeypatch):
         (lambda mp: _gl3_twisted_classes([(0,), (1,)], (0, 1, 0)), "do not partition"),
         (_order_from_wrong_tori, "group order from the maximal tori is not polynomial"),
         (lambda mp: rootdata.mat_inv_int(((2, 0), (0, 1))), "not unimodular"),
+        (_block_structure_of_a_shear, "does not permute the Levi's blocks"),
+        # a zero part: the multiplicity formula divides q - 1 by q
+        (lambda mp: springer.gl_centralizer_order((0,)), "centralizer order not integral"),
     ],
-    ids=["orbit-size", "partition", "order-polynomial", "unimodular"],
+    ids=["orbit-size", "partition", "order-polynomial", "unimodular", "blocks", "centralizer"],
 )
 def test_internal_invariant_error_exits_3(capsys, monkeypatch, fail, message):
     monkeypatch.setattr(cli, "green_two_var_table", lambda *args: fail(monkeypatch))
@@ -197,6 +210,32 @@ def test_scalar_norm_not_polynomial_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "scalar", "GL2")
     assert (code, out) == (EXIT_INVARIANT, "")
     assert err.startswith("invariant violated: induced norm")
+
+
+def test_verify_gelfand_graev_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gg_norm", lambda G: gg_norm(G) + QPoly([1]))
+    code, out, err = run(capsys, "verify", "GL2")
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err == "invariant violated: induced_gg_norm(G, G) != gg_norm(G)\n"
+
+
+@pytest.mark.parametrize(
+    "owner, name, argv, message",
+    [
+        # the block-sum route one more than the R-matrix route
+        (twovar._BlockPair, "blocksum_term", ["table", "GL2"], "mismatch: entry ("),
+        # a counted value one more than the symbolic one
+        (oracle.FiniteGL, "hc_two_var", ["oracle-compare", "GL2", "--q", "2"],
+         "mismatch: mismatch at u="),
+    ],
+    ids=["cross-path", "oracle"],
+)
+def test_mismatch_exits_4(capsys, monkeypatch, owner, name, argv, message):
+    method = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda self, *args: method(self, *args) + 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_MISMATCH, "")
+    assert err.startswith(message)
 
 
 class TestScalarAndVerify:

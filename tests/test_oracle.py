@@ -13,6 +13,7 @@ from greenfn.oracle import (
     FiniteGL,
     OracleError,
     _conjugate,
+    _det,
     _elementary,
     _mat_mul,
     generators,
@@ -36,11 +37,18 @@ def _compositions(n):
     return [(k,) + rest for k in range(1, n + 1) for rest in _compositions(n - k)]
 
 
+def _elements(G):
+    """Every invertible n x n matrix over F_q, for scans of the whole group."""
+    rows = list(product(range(G.q), repeat=G.n))
+    return [m for m in product(rows, repeat=G.n) if _det(m, G.q)]
+
+
 def _hc_two_var_by_scan(G, composition, u_partition, v_partitions):
     """Reference count: conjugate u by every element of G."""
     ident = jordan_matrix((1,) * G.n, G.n, G.q)
+    elements = _elements(G)
     inverse = {}
-    for x in G.elements:
+    for x in elements:
         prev, power = ident, x
         while power != ident:  # x^k = 1, so x^{-1} = x^{k-1}
             prev, power = power, G.mul(power, x)
@@ -52,7 +60,7 @@ def _hc_two_var_by_scan(G, composition, u_partition, v_partitions):
     )
     radical = G.radical_elements(composition)
     target = {G.mul(v, r) for r in radical}
-    count = sum(1 for x in G.elements if G.mul(G.mul(inverse[x], u), x) in target)
+    count = sum(1 for x in elements if G.mul(G.mul(inverse[x], u), x) in target)
     levi_order = math.prod(FiniteGL(s, G.q).order for s in composition)
     return Fraction(count, levi_order * len(radical))
 
@@ -65,6 +73,16 @@ class TestGroups:
     def test_orders(self, n, p, order):
         # [DERIVED] |GL_n(F_q)| = prod (q^n - q^k)
         assert FiniteGL(n, p).order == order
+
+    @pytest.mark.parametrize("n,p", SUPPORTED)
+    def test_order_counts_the_invertible_matrices(self, n, p):
+        G = FiniteGL(n, p)
+        assert G.order == len(_elements(G))
+        # every composition's Levi: the product of its blocks' orders
+        for comp in _compositions(n):
+            assert G.levi_order(comp) == math.prod(
+                len(_elements(FiniteGL(s, p))) for s in comp
+            )
 
     def test_jordan_round_trip(self):
         for p in (2, 3):
@@ -102,16 +120,17 @@ class TestConjugacyClasses:
                 if d not in closure:
                     closure.add(d)
                     frontier.append(d)
-        assert closure == set(G.elements)
+        assert closure == set(_elements(G))
 
     @pytest.mark.parametrize("n,p", SUPPORTED)
     def test_conjugation_matches_matrix_product(self, n, p, monkeypatch):
         G = FiniteGL(n, p)
         pairs = generators(n, p)
+        elements = _elements(G)
         for s, s_inv in pairs:
             move = _elementary(s, s_inv)
-            assert [_conjugate(c, move, p) for c in G.elements] == [
-                _mat_mul(_mat_mul(s_inv, c, p), s, p) for c in G.elements
+            assert [_conjugate(c, move, p) for c in elements] == [
+                _mat_mul(_mat_mul(s_inv, c, p), s, p) for c in elements
             ], move
         # the orbit search conjugates each class member by every generator
         calls = []
@@ -142,7 +161,7 @@ class TestCharacters:
         G = FiniteGL(2, p)
         chars = gl2_characters(p)
         assert len(chars) == {2: 3, 3: 8}[p]
-        values = [[ch(g) for g in G.elements] for ch in chars]
+        values = [[ch(g) for g in _elements(G)] for ch in chars]
         for i, a in enumerate(values):
             for j, b in enumerate(values):
                 s = CycQ(0)

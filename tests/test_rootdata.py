@@ -2,13 +2,13 @@
 
 from collections import Counter
 from itertools import combinations, permutations
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenfn.qpoly import QPoly
+from greenfn.qpoly import ArithmeticInvariantError, QPoly
 from greenfn.rootdata import (
     TwistedClass,
     TwistedCoset,
@@ -151,7 +151,9 @@ class TestTorusOrders:
                 for subset in combinations(range(n - 1), k):
                     L0 = G.levi(subset)
                     coset = relative_weyl_group(G, L0)
-                    blocks, _, perms = coset.block_data
+                    blocks, _, perms = _ref_gl_block_structure(
+                        G, L0, coset.elements, coset.classes
+                    )[2]
                     for w in coset.elements:
                         cycles = _cycle_type_on(perms[w], range(len(blocks)))
                         expect = prod(QPoly.q(length) - 1 for length in cycles)
@@ -344,8 +346,9 @@ class TestCenter:
 # frozen reference: the relative Weyl group as a scan of integer matrices
 #
 # This is the matrix implementation that the root-permutation one replaced,
-# kept unchanged apart from names.  The structure detection for GL_n
-# (``_gl_block_structure``) is shared: it reads matrices in both.
+# kept unchanged apart from names.  It includes the structure detection for
+# GL_n that read every element's matrix as a permutation of the coordinates;
+# the package reads only the class representatives.
 
 
 def _ref_generate_group(generators):
@@ -470,6 +473,80 @@ def _ref_cyclic_structure(elements, classes):
     return None, None, None
 
 
+def _ref_gl_block_structure(G, L0, elements, classes):
+    n = G.gl_size
+    joined = set()
+    for j in L0.subset:
+        root = G.simple_roots[j]
+        if sum(abs(v) for v in root) != 2 or 1 not in root:
+            return None
+        joined.add(root.index(1))
+    blocks = []
+    start = 0
+    cut = set(range(n - 1)) - joined
+    for i in sorted(cut):
+        blocks.append(tuple(range(start, i + 1)))
+        start = i + 1
+    blocks.append(tuple(range(start, n)))
+    sizes = [len(b) for b in blocks]
+    perms = {}
+    for w in elements:
+        coord = _ref_as_coord_permutation(w, n)
+        if coord is None:
+            return None
+        bp = []
+        for b in blocks:
+            img = tuple(sorted(coord[c] for c in b))
+            if img not in blocks:
+                return None
+            bp.append(blocks.index(img))
+        perms[w] = tuple(bp)
+    if len(set(perms.values())) != len(elements):
+        return None
+    parent = list(range(len(blocks)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for bp in perms.values():
+        for i, j in enumerate(bp):
+            parent[find(i)] = find(j)
+    orbit_of = {}
+    for i in range(len(blocks)):
+        orbit_of.setdefault(find(i), []).append(i)
+    orbits = sorted(orbit_of.values(), key=min)
+    for orbit in orbits:
+        if len({sizes[i] for i in orbit}) != 1:
+            return None
+    if len(elements) != prod(factorial(len(o)) for o in orbits):
+        return None
+    labels = []
+    for cls in classes:
+        bp = perms[cls.rep]
+        labels.append(tuple(_cycle_type_on(bp, orbit) for orbit in orbits))
+    structure = ("symmetric_product", tuple(len(o) for o in orbits))
+    block_data = (
+        tuple(blocks),
+        tuple(tuple(o) for o in orbits),
+        {w: perms[w] for w in elements},
+    )
+    return structure, tuple(labels), block_data
+
+
+def _ref_as_coord_permutation(w, n):
+    out = [None] * n
+    for j in range(n):
+        col = [w[i][j] for i in range(n)]
+        ones = [i for i, v in enumerate(col) if v == 1]
+        if len(ones) != 1 or any(v not in (0, 1) for v in col):
+            return None
+        out[j] = ones[0]
+    return tuple(out)
+
+
 def _ref_relative_weyl_group(G, L0, weyl):
     roots_I = frozenset(G.simple_roots[i] for i in L0.subset)
     stab = [w for w in weyl if frozenset(mat_vec(w, a) for a in roots_I) == roots_I]
@@ -478,7 +555,7 @@ def _ref_relative_weyl_group(G, L0, weyl):
     sigma = lambda g: mat_mul_int(mat_mul_int(phi, g), phi_inv)
     assert {sigma(w) for w in stab} == set(stab)
     classes = _ref_twisted_classes(stab, sigma)
-    got = _gl_block_structure(G, L0, stab, classes) if G.gl_size else None
+    got = _ref_gl_block_structure(G, L0, stab, classes) if G.gl_size else None
     if got is None:
         if len(stab) == 1:
             got = ("trivial",), ("1",) * len(classes), None
@@ -486,7 +563,9 @@ def _ref_relative_weyl_group(G, L0, weyl):
             got = _ref_dihedral_structure(stab, classes) or _ref_cyclic_structure(
                 stab, classes
             )
-    return TwistedCoset(tuple(sorted(stab)), phi, classes, *got)
+    # the third item (block data, the dihedral generators) has no counterpart
+    structure, labels, _ = got
+    return TwistedCoset(tuple(sorted(stab)), phi, classes, structure, labels)
 
 
 def _stable_levis(G):
@@ -522,6 +601,46 @@ def test_relative_weyl_group_matches_matrix_scan(spec, levis):
     assert len(cosets) == levis
     for L0 in cosets:
         assert relative_weyl_group(G, L0) == _ref_relative_weyl_group(G, L0, weyl)
+
+
+class TestGlBlockStructureChecks:
+    """Each check of ``_gl_block_structure`` fails on a class list built to
+    break it."""
+
+    G = gl(3)
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "subset, rep",
+        [
+            # s_1 swaps coordinates 1 and 2, splitting the block {0, 1}
+            ((0,), G.reflection(1)),
+            # not a permutation matrix: e_1 goes to e_0 + e_1
+            ((), shear),
+        ],
+        ids=["splits-a-block", "not-a-permutation"],
+    )
+    def test_representative_must_permute_the_blocks(self, subset, rep):
+        classes = (TwistedClass(rep, frozenset({rep}), 1, 1),)
+        with pytest.raises(ArithmeticInvariantError, match="does not permute"):
+            _gl_block_structure(self.G, self.G.levi(subset), classes)
+
+    def test_group_order_must_match_the_orbits(self):
+        # without the identity class the order reads 5, but the orbit of all
+        # three blocks needs 3! = 6
+        classes = relative_weyl_group(self.G, self.G.levi(())).classes
+        rest = tuple(cls for cls in classes if cls.size > 1)
+        assert sum(cls.size for cls in rest) == 5
+        with pytest.raises(ArithmeticInvariantError, match="of order 5 is not"):
+            _gl_block_structure(self.G, self.G.levi(()), rest)
+
+    def test_labels_must_differ(self):
+        # two classes of size 1 with the swap of W(GL2) as representative
+        G = gl(2)
+        s = G.reflection(0)
+        cls = TwistedClass(s, frozenset({s}), 1, 2)
+        with pytest.raises(ArithmeticInvariantError, match="one cycle type"):
+            _gl_block_structure(G, G.levi(()), (cls, cls))
 
 
 class TestTwistedClassChecks:
