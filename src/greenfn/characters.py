@@ -13,10 +13,11 @@ representative.
 
 Character tables are computed from the structure tag detected on the coset:
 products of symmetric groups via the Murnaghan-Nakayama rule, dihedral and
-cyclic groups from closed formulae.  For a split coset (trivial twist action)
-these are the ordinary tables; the extension convention to a genuinely
-twisted coset would have to come from a data pack, and requesting a table in
-that situation raises DataPackRequired.
+cyclic groups from closed formulae.  For a split coset (``TwistedCoset.split``:
+the twist fixes every element) these are the ordinary tables; the extension
+convention to a genuinely twisted coset would have to come from a data pack,
+and requesting a table in that situation raises DataPackRequired.  Nothing
+here reads a Weyl element or the twist itself.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 
 from .cyclo import CycQ
-from .rootdata import TwistedCoset, class_fusion, identity_mat, mat_mul_int
+from .rootdata import TwistedCoset, class_fusion
 
 
 class DataPackRequired(ValueError):
@@ -51,7 +52,7 @@ class CosetClassFunction:
 
 
 def _same_coset(f, g):
-    if f.coset is not g.coset and f.coset.elements != g.coset.elements:
+    if f.coset is not g.coset and f.coset != g.coset:
         raise ValueError("class functions live on different cosets")
 
 
@@ -132,7 +133,7 @@ def character_table(coset: TwistedCoset) -> CharacterTable:
     if coset.structure is None:
         raise DataPackRequired("character table: data pack required for this coset")
     kind = coset.structure[0]
-    if kind != "trivial" and _is_nontrivially_twisted(coset):
+    if not coset.split:
         raise DataPackRequired(
             "character table: data pack required for a twisted coset of type "
             + kind
@@ -146,14 +147,6 @@ def character_table(coset: TwistedCoset) -> CharacterTable:
     if kind == "cyclic":
         return _cyclic_table(coset)
     raise DataPackRequired(f"character table: unsupported structure {kind}")
-
-
-def _is_nontrivially_twisted(coset: TwistedCoset) -> bool:
-    """Whether the twist fails to commute with some element of the group."""
-    tw = coset.twist
-    if tw == identity_mat(len(tw)):
-        return False
-    return any(mat_mul_int(tw, g) != mat_mul_int(g, tw) for g in coset.elements)
 
 
 # -- symmetric group products ------------------------------------------------

@@ -179,10 +179,6 @@ class CycQ:
         return self
 
     @classmethod
-    def rational(cls, value) -> "CycQ":
-        return cls(Rat(value))
-
-    @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CycQ":
         """The root of unity zeta_n^k = exp(2*pi*i*k/n)."""
         if n <= 0:
@@ -206,9 +202,6 @@ class CycQ:
         if self.n != 1:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
-
-    def is_integer(self) -> bool:
-        return self.n == 1 and self.coeffs[0].denominator == 1
 
     def is_cyclotomic_integer(self) -> bool:
         """Whether all coordinates in the power basis are integers."""
@@ -471,4 +464,3 @@ def _solve_overdetermined(aug: list[list[Rat]], ncols: int):
 
 
 ZERO = CycQ(0)
-ONE = CycQ(1)

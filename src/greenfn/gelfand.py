@@ -24,14 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qpoly import ArithmeticInvariantError, QPoly, RatFunc
-from .rootdata import LeviDatum, RootDatumF, class_fusion, torus_fixed_order
+from .rootdata import LeviDatum, RootDatumF, class_fusion
 
 
 def induced_gg_norm(G: RootDatumF, L: LeviDatum) -> QPoly:
     """<Ind_L^G Gamma_L, Ind_L^G Gamma_L> as a polynomial in q."""
-    T = G.levi(())
     LD = L.as_datum()
-    coset_g = G.relative_coset(T)
+    coset_g = G.relative_coset(G.levi(()))
     coset_l = LD.relative_coset(LD.levi(()))
     fusion = class_fusion(coset_l, coset_g)
     z_sq = LD.center_component_group().order ** 2
@@ -43,9 +42,7 @@ def induced_gg_norm(G: RootDatumF, L: LeviDatum) -> QPoly:
             wcls.size * coset_g.order * inter,
             coset_l.order**2 * big_size,
         )
-        total = total + RatFunc(
-            torus_fixed_order(T, wcls.rep) * QPoly([weight])
-        )
+        total = total + RatFunc(wcls.torus_order * QPoly([weight]))
     total = total * RatFunc(QPoly([z_sq]))
     if not total.is_polynomial():
         raise ArithmeticInvariantError(f"induced norm {total} is not polynomial")

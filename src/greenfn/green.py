@@ -12,8 +12,9 @@ constraints
 
     < Qt_kappa, Z Qt_gamma' > = Lambda_{kappa, gamma'}
 
-for all earlier gamma', where Z(wF) = |Z^0(L0)^{wF}| weights the pairing and
-the target Gram matrix is
+for all earlier gamma', where Z(wF) = |Z^0(L0)^{wF}|, the torus order that
+each twisted class of the block's relative coset carries, weights the
+pairing and the target Gram matrix is
 
     Lambda_{gamma,kappa} = 0 unless the supports coincide, and otherwise
       |A(v)|^{-1} sum_a |C^0(v_a)^F| q^{-2 c_gamma}
@@ -25,7 +26,9 @@ unitriangularity of P_{kappa,iota} = q^{c_kappa - c_iota} B_{kappa,iota}
 (B the change of basis from phi to Qt).  Any failure raises SolverError
 rather than being absorbed: wrong conventions must surface, not be patched.
 
-The one-variable Green function is then assembled as
+The values Qt_iota(wF) at every class are one matrix product, the
+expansions times the character table.  The one-variable Green function is
+then assembled as
 
     Q_{wF}(u_a) = sum over iota supported on the class of u of
                   Qt_iota(wF) * q^{c_iota} * chi_iota(a)
@@ -44,7 +47,6 @@ from functools import cached_property
 from .characters import CosetClassFunction, weighted_pairing
 from .linalg import mat_mul, solve_linear
 from .qpoly import QPoly, RatFunc
-from .rootdata import torus_fixed_order
 from .springer import SpringerTable
 
 
@@ -72,14 +74,12 @@ class BlockSolution:
         """green_table of this solution, assembled on first use and kept."""
         return green_table(self)
 
-    def qtilde_value(self, i: int, w_class: int) -> RatFunc:
-        """Qt_{basis[i]} evaluated at the twisted class w_class of the coset."""
+    @cached_property
+    def qtilde(self):
+        """qtilde[i][w] = Qt_{basis[i]} at the twisted class w of the coset:
+        the expansions times the characters' values, one product."""
         chars = _block_characters(self.table, self.block_id, self.basis)
-        total = RatFunc(0)
-        for j, coeff in enumerate(self.expansions[i]):
-            if not coeff.is_zero():
-                total = total + coeff * chars[j].values[w_class]
-        return total
+        return mat_mul(self.expansions, [chi.values for chi in chars])
 
 
 @dataclass(frozen=True)
@@ -144,20 +144,14 @@ def _block_characters(table: SpringerTable, block_id: int, basis):
 
 
 def _phi_gram(table: SpringerTable, block_id: int, basis):
-    """Pairings <phi_i, Z phi_j> of the raw characters against Z."""
+    """Pairings <phi_i, Z phi_j> of the raw characters against Z, the torus
+    order of each class."""
     chars = _block_characters(table, block_id, basis)
-    zw = _z_weight(table, block_id)
+    coset = table.block_coset(block_id)
+    zw = CosetClassFunction(coset, tuple(cls.torus_order for cls in coset.classes))
     return [
         [RatFunc(weighted_pairing(ci, cj, zw)) for cj in chars] for ci in chars
     ]
-
-
-def _z_weight(table: SpringerTable, block_id: int) -> CosetClassFunction:
-    coset = table.block_coset(block_id)
-    L0 = table.block_levi(block_id)
-    return CosetClassFunction(
-        coset, tuple(torus_fixed_order(L0, cls.rep) for cls in coset.classes)
-    )
 
 
 def _lambda_target(table: SpringerTable, gamma, kappa) -> RatFunc:
@@ -296,7 +290,7 @@ def _verify(sol: BlockSolution, phi_gram):
 def one_var_green(sol: BlockSolution, w_class: int) -> GreenOneVar:
     table = sol.table
     values = {}
-    qt = [sol.qtilde_value(i, w_class) for i in range(len(sol.basis))]
+    qt = [row[w_class] for row in sol.qtilde]
     for cls in table.classes:
         for ai, a_label in enumerate(cls.f_classes):
             total = RatFunc(0)
@@ -335,7 +329,6 @@ def green_orthogonality(table: SpringerTable, block_id: int, sol=None):
     sol = sol or solved_block(table, block_id)
     greens = sol.greens
     coset = sol.coset
-    L0 = table.block_levi(block_id)
     inverse_orders = {
         (cls.label, a_label): RatFunc(1) / RatFunc(table.centralizer_order(cls.label))
         for cls in table.classes
@@ -352,7 +345,7 @@ def green_orthogonality(table: SpringerTable, block_id: int, sol=None):
                 total = total + RatFunc(qa * qb.conjugate()) * inverse_order
             if wi == wj:
                 expect = RatFunc(QPoly([wcls.centralizer_order])) / RatFunc(
-                    torus_fixed_order(L0, wcls.rep)
+                    wcls.torus_order
                 )
             else:
                 expect = RatFunc(0)

@@ -817,7 +817,6 @@ def parse_phi_string(text: str) -> QPoly:
 
     def parse_term(sign: int) -> QPoly:
         out = QPoly([sign])
-        saw_factor = False
         while True:
             tok = peek()
             if tok is None or tok[0] in ("plus", "minus", "rparen"):
@@ -829,7 +828,6 @@ def parse_phi_string(text: str) -> QPoly:
                     raise PhiParseError("division by zero")
                 out = out * QPoly([Fraction(1, divisor)])
                 break
-            saw_factor = True
             if tok[0] == "int":
                 out = out * take()[1]
             elif tok[0] == "q":
@@ -845,9 +843,6 @@ def parse_phi_string(text: str) -> QPoly:
                 out = out * inner ** parse_exponent()
             else:
                 raise PhiParseError(f"unexpected token {tok}")
-        if not saw_factor:
-            # a bare sign/integer term like "1" or "-2" already handled via int
-            pass
         return out
 
     result = QPoly()

@@ -9,14 +9,16 @@ A Weyl group acts faithfully on its roots, so the group is generated,
 scanned and partitioned into twisted classes as permutations of the roots:
 a product is tuple indexing and an inverse an argsort.  Each element's
 integer matrix on X (column convention) is multiplied out once, when the
-element is found, and the public results (``TwistedCoset``) hold the
-matrices, so that Weyl groups of Levi subdata embed literally into the
-parent group.  Consumers read a coset through its twisted classes: a
-representative, a size and, for a subcoset, the class of the parent that
-the representative lies in (``class_fusion``).  The module provides
-twisted conjugacy classes, relative Weyl groups of Levi subgroups, order
-polynomials of tori / centres / groups, and the component group of the
-centre with its F-action.
+element is found, and the cosets (``TwistedCoset``) hold the matrices, so
+that Weyl groups of Levi subdata embed literally into the parent group.
+The matrices stay inside this module.  Other modules read a coset through
+its twisted classes (a size, and the torus order |Z^0(L0)^{wF}| computed
+once when the coset is built), its ``split`` flag (whether the twist fixes
+every element), its structure tag and class labels, and, for a subcoset,
+the class of the parent that each class fuses into (``class_fusion``).
+The module provides twisted conjugacy classes, relative Weyl groups of
+Levi subgroups, order polynomials of tori / centres / groups, and the
+component group of the centre with its F-action.
 
 Order polynomials come from characteristic polynomials det(q - a) of
 a = w*phi on X.  For a Levi L whose simple roots a permutes,
@@ -127,12 +129,14 @@ def _perm_powers(p: tuple) -> list:
 
 @dataclass(frozen=True)
 class TwistedClass:
-    """One sigma-twisted conjugacy class of a finite matrix group."""
+    """One sigma-twisted conjugacy class wF of a relative Weyl coset, with the
+    order |Z^0(L0)^{wF}| of the torus that it twists."""
 
     rep: Mat
     elements: frozenset
     size: int
     centralizer_order: int
+    torus_order: QPoly
 
 
 @dataclass(frozen=True)
@@ -142,14 +146,16 @@ class TwistedCoset:
     Elements are integer matrices on the ambient lattice X; ``twist`` is the
     matrix whose composition with elements gives the actual coset W*twist
     acting on X (so twisted conjugacy is g w sigma(g)^{-1} with
-    sigma(g) = twist g twist^{-1}).
+    sigma(g) = twist g twist^{-1}).  ``split`` says whether sigma fixes every
+    element, so that the twisted classes are the ordinary ones.
     """
 
     elements: tuple
     twist: Mat
     classes: tuple
-    structure: tuple | None = None
-    class_labels: tuple | None = None
+    split: bool
+    structure: tuple | None
+    class_labels: tuple | None
 
     @property
     def order(self) -> int:
@@ -166,16 +172,21 @@ class TwistedCoset:
             raise KeyError("element not in coset group") from None
 
 
-def _twisted_classes(group: dict, twist: tuple):
+def _twisted_classes(group: dict, twist: tuple, torus_order):
     """Partition ``group``, a dict root permutation -> matrix, into twisted
-    conjugacy classes {g x sigma(g)^-1}, sigma(g) = twist g twist^-1."""
+    conjugacy classes {g x sigma(g)^-1}, sigma(g) = twist g twist^-1, each
+    with ``torus_order`` of its representative matrix.  Returns the classes
+    and whether sigma fixes every element."""
     twist_inv = _perm_inverse(twist)
     # sigma(g)^-1 = sigma(g^-1), computed once per g
     pairs = []
+    split = True
     for g in group:
-        s = _compose(_compose(twist, _perm_inverse(g)), twist_inv)
+        g_inv = _perm_inverse(g)
+        s = _compose(_compose(twist, g_inv), twist_inv)
         if s not in group:
             raise ValueError("twist does not normalize the relative Weyl group")
+        split = split and s == g_inv
         pairs.append((g, s))
     seen = set()
     classes = []
@@ -190,12 +201,13 @@ def _twisted_classes(group: dict, twist: tuple):
         if len(group) % size:
             raise ArithmeticInvariantError("orbit size does not divide group order")
         mats = frozenset(group[p] for p in orbit)
-        classes.append(TwistedClass(min(mats), mats, size, len(group) // size))
+        rep = min(mats)
+        classes.append(TwistedClass(rep, mats, size, len(group) // size, torus_order(rep)))
     classes.sort(key=lambda c: c.rep)
     total = sum(c.size for c in classes)
     if total != len(group):
         raise ArithmeticInvariantError("twisted classes do not partition the group")
-    return tuple(classes)
+    return tuple(classes), split
 
 
 def generate_group(generators, limit: int = 2_000_000) -> dict:
@@ -466,7 +478,7 @@ def _order_polynomial(datum: RootDatumF) -> QPoly:
     Steinberg: G^F has q^{2N} F-stable maximal tori, and the torus of type wF
     has |G^F| / (|T_w^F| |C_{W,F}(w)|) conjugates.  Summing over the twisted
     classes gives |G^F| = q^{2N} |W| / sum_classes |class| / |T_w^F|, with
-    |T_w^F| = det(q - w*phi).
+    |T_w^F| = det(q - w*phi) the torus order of the class.
     """
     if datum.degree_data is not None:
         out = QPoly.q(datum.n_positive)
@@ -476,8 +488,7 @@ def _order_polynomial(datum: RootDatumF) -> QPoly:
     coset = datum.relative_coset(datum.levi(()))
     total = RatFunc(0)
     for cls in coset.classes:
-        torus_order = _charpoly(mat_mul_int(cls.rep, datum.twist))
-        total = total + RatFunc(QPoly([cls.size]), torus_order)
+        total = total + RatFunc(QPoly([cls.size]), cls.torus_order)
     order = RatFunc(QPoly.q(2 * datum.n_positive) * QPoly([coset.order])) / total
     if not order.is_polynomial():
         raise ArithmeticInvariantError("group order from the maximal tori is not polynomial")
@@ -522,15 +533,20 @@ def torus_fixed_order(L0: LeviDatum, w: Mat | None = None) -> QPoly:
 
 def relative_weyl_group(G: RootDatumF, L0: LeviDatum) -> TwistedCoset:
     """W_G(L0) = {w in W : w permutes the simple roots of L0}, with the
-    automorphism induced by the Frobenius twist of L0."""
+    automorphism induced by the Frobenius twist of L0, and the torus order
+    |Z^0(L0)^{wF}| of each twisted class."""
     roots_I = {G._root_index[G.simple_roots[i]] for i in L0.subset}
     stab = {
         p: w for p, w in G.weyl_group.items() if {p[i] for i in roots_I} == roots_I
     }
     phi = L0.frobenius_twist()
-    classes = _twisted_classes(stab, G.root_permutation(phi))
+    classes, split = _twisted_classes(
+        stab,
+        G.root_permutation(phi),
+        lambda w: _fixed_torus_order(G, L0.subset, mat_mul_int(w, phi)),
+    )
     structure, labels = _detect_structure(G, L0, stab, classes)
-    return TwistedCoset(tuple(sorted(stab.values())), phi, classes, structure, labels)
+    return TwistedCoset(tuple(sorted(stab.values())), phi, classes, split, structure, labels)
 
 
 def class_fusion(sub: TwistedCoset, big: TwistedCoset):

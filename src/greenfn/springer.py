@@ -163,7 +163,7 @@ def _validate_table(table: SpringerTable):
     minimal = [c for c in table.classes if not c.below]
     if len(minimal) != 1:
         raise DataPackRequired("no unique minimal (trivial) class")
-    table.regular_label()
+    reg = table.regular_label()
     # blocks partition the systems; correspondence is a bijection per block
     seen_keys = set()
     for s in table.systems:
@@ -177,7 +177,6 @@ def _validate_table(table: SpringerTable):
         cls = table.unipotent_class(s.class_label)
         if len(s.chi) != len(cls.f_classes):
             raise DataPackRequired(f"system {s.key}: chi length mismatch")
-    reg = table.regular_label()
     for blk in table.blocks:
         systems = table.block_systems(blk.block_id)
         if not systems:

@@ -36,7 +36,7 @@ from .characters import DataPackRequired, induce, inner_product
 from .green import SolverError, solved_block
 from .linalg import mat_inverse, mat_mul
 from .qpoly import QPoly, RatFunc, render_poly
-from .rootdata import LeviDatum, class_fusion, torus_fixed_order
+from .rootdata import LeviDatum, class_fusion
 from .springer import SpringerTable, dominates, gl_levi_springer
 
 
@@ -80,10 +80,8 @@ class _BlockPair:
         self.greens_g = self.sol_g.greens
         # block-sum weight of each twisted class wF of W_L(L0):
         # |Z^0(L0)^{wF}| * |wF-class| / |W_L(L0)|
-        L0 = tL.block_levi(block_l)
         self.weights = tuple(
-            torus_fixed_order(L0, wcls.rep)
-            * QPoly([Fraction(wcls.size, self.coset_l.order)])
+            wcls.torus_order * QPoly([Fraction(wcls.size, self.coset_l.order)])
             for wcls in self.coset_l.classes
         )
         self._rtilde = None

@@ -163,7 +163,12 @@ def _gl3_twisted_classes(words, twist):
         return out
 
     group = {G.root_permutation(w): w for w in map(element, words)}
-    return rootdata._twisted_classes(group, G.root_permutation(element(twist)))
+    L0 = G.levi((), element(twist))
+    return rootdata._twisted_classes(
+        group,
+        G.root_permutation(element(twist)),
+        lambda w: rootdata.torus_fixed_order(L0, w),
+    )
 
 
 def _order_from_wrong_tori(monkeypatch):
@@ -178,7 +183,7 @@ def _block_structure_of_a_shear(monkeypatch):
     # a class of W(GL2) whose representative is not a permutation matrix
     G = rootdata.gl(2)
     shear = ((1, 1), (0, 1))
-    cls = rootdata.TwistedClass(shear, frozenset({shear}), 1, 1)
+    cls = rootdata.TwistedClass(shear, frozenset({shear}), 1, 1, rootdata._charpoly(shear))
     return rootdata._gl_block_structure(G, G.levi(()), (cls,))
 
 

@@ -131,7 +131,7 @@ class TestTorusOrders:
         coset = relative_weyl_group(G, T)
         for cls in coset.classes:
             vals = {torus_fixed_order(T, w).coeffs for w in cls.elements}
-            assert len(vals) == 1
+            assert vals == {cls.torus_order.coeffs}
 
     def test_center_torus_of_levi(self):
         # Z^0(GL2 x GL1 in GL3) is a 2-torus split by F
@@ -144,22 +144,21 @@ class TestTorusOrders:
     def test_gl_torus_orders_from_blocks(self):
         # [DERIVED] Z^0(L0) is one GL1 per block, and w permutes the blocks:
         # each cycle of length l contributes q^l - 1
-        cases = 0
+        cases = classes = 0
         for n in range(2, 6):
             G = gl(n)
             for k in range(n):
                 for subset in combinations(range(n - 1), k):
                     L0 = G.levi(subset)
                     coset = relative_weyl_group(G, L0)
-                    blocks, _, perms = _ref_gl_block_structure(
-                        G, L0, coset.elements, coset.classes
-                    )[2]
+                    orders = _ref_gl_block_torus_orders(G, L0, coset.elements)
                     for w in coset.elements:
-                        cycles = _cycle_type_on(perms[w], range(len(blocks)))
-                        expect = prod(QPoly.q(length) - 1 for length in cycles)
-                        assert torus_fixed_order(L0, w) == expect
+                        assert torus_fixed_order(L0, w) == orders[w]
                         cases += 1
-        assert cases == 208
+                    for cls in coset.classes:
+                        assert cls.torus_order == orders[cls.rep]
+                        classes += 1
+        assert (cases, classes) == (208, 61)
 
     @pytest.mark.parametrize(
         "spec, expect",
@@ -174,8 +173,9 @@ class TestTorusOrders:
         G = cartan_type(spec)
         T = G.levi(())
         coset = relative_weyl_group(G, T)
-        got = Counter(torus_fixed_order(T, cls.rep) for cls in coset.classes)
-        assert got == Counter(prod(map(QPoly.phi, ds)) for ds in expect)
+        want = Counter(prod(map(QPoly.phi, ds)) for ds in expect)
+        assert Counter(torus_fixed_order(T, cls.rep) for cls in coset.classes) == want
+        assert Counter(cls.torus_order for cls in coset.classes) == want
 
     @given(int_matrices)
     @settings(max_examples=80, deadline=None)
@@ -348,7 +348,11 @@ class TestCenter:
 # This is the matrix implementation that the root-permutation one replaced,
 # kept unchanged apart from names.  It includes the structure detection for
 # GL_n that read every element's matrix as a permutation of the coordinates;
-# the package reads only the class representatives.
+# the package reads only the class representatives.  The fields the package
+# sets while it builds the classes come from computations of their own here:
+# each torus order from the GL_n block cycles or, outside GL_n, from the
+# Leibniz determinant, and the split flag from the matrix commutation test
+# that character tables used to run on every element.
 
 
 def _ref_generate_group(generators):
@@ -391,7 +395,7 @@ def _ref_inverses(elems):
     return inverse
 
 
-def _ref_twisted_classes(elements, sigma):
+def _ref_twisted_classes(elements, sigma, torus_order):
     elems = sorted(elements)
     group = set(elems)
     inverse = _ref_inverses(elems)
@@ -405,8 +409,9 @@ def _ref_twisted_classes(elements, sigma):
         assert orbit <= group
         seen |= orbit
         size = len(orbit)
+        rep = min(orbit)
         classes.append(
-            TwistedClass(min(orbit), frozenset(orbit), size, len(group) // size)
+            TwistedClass(rep, frozenset(orbit), size, len(group) // size, torus_order(rep))
         )
     classes.sort(key=lambda c: c.rep)
     assert sum(c.size for c in classes) == len(group)
@@ -547,6 +552,35 @@ def _ref_as_coord_permutation(w, n):
     return tuple(out)
 
 
+def _ref_is_nontrivially_twisted(elements, twist):
+    """Whether the twist fails to commute with some element of the group."""
+    if twist == identity_mat(len(twist)):
+        return False
+    return any(mat_mul_int(twist, g) != mat_mul_int(g, twist) for g in elements)
+
+
+def _ref_gl_block_torus_orders(G, L0, elements):
+    """|Z^0(L0)^{wF}| for each w, by blocks: Z^0(L0) is one GL1 per block of
+    L0, and each cycle of length l of w on the blocks gives q^l - 1."""
+    blocks, _, perms = _ref_gl_block_structure(G, L0, elements, ())[2]
+    return {
+        w: prod(QPoly.q(length) - 1 for length in _cycle_type_on(perms[w], range(len(blocks))))
+        for w in elements
+    }
+
+
+def _ref_torus_order(G, L0, w):
+    """|Z^0(L0)^{wF}| as det(q - w phi) by the Leibniz formula, divided by
+    q^l - 1 for each cycle of length l of w phi on the simple roots of L0."""
+    a = mat_mul_int(w, L0.frobenius_twist())
+    roots = [G.simple_roots[i] for i in L0.subset]
+    images = [roots.index(mat_vec(a, root)) for root in roots]
+    out = leibniz_charpoly(a)
+    for length in _cycle_type_on(images, range(len(roots))):
+        out = out.exact_div(QPoly.q(length) - 1)
+    return out
+
+
 def _ref_relative_weyl_group(G, L0, weyl):
     roots_I = frozenset(G.simple_roots[i] for i in L0.subset)
     stab = [w for w in weyl if frozenset(mat_vec(w, a) for a in roots_I) == roots_I]
@@ -554,7 +588,11 @@ def _ref_relative_weyl_group(G, L0, weyl):
     phi_inv = mat_inv_int(phi)
     sigma = lambda g: mat_mul_int(mat_mul_int(phi, g), phi_inv)
     assert {sigma(w) for w in stab} == set(stab)
-    classes = _ref_twisted_classes(stab, sigma)
+    if G.gl_size:
+        torus_order = _ref_gl_block_torus_orders(G, L0, stab).__getitem__
+    else:
+        torus_order = lambda w: _ref_torus_order(G, L0, w)
+    classes = _ref_twisted_classes(stab, sigma, torus_order)
     got = _ref_gl_block_structure(G, L0, stab, classes) if G.gl_size else None
     if got is None:
         if len(stab) == 1:
@@ -565,7 +603,8 @@ def _ref_relative_weyl_group(G, L0, weyl):
             )
     # the third item (block data, the dihedral generators) has no counterpart
     structure, labels, _ = got
-    return TwistedCoset(tuple(sorted(stab)), phi, classes, structure, labels)
+    split = not _ref_is_nontrivially_twisted(stab, phi)
+    return TwistedCoset(tuple(sorted(stab)), phi, classes, split, structure, labels)
 
 
 def _stable_levis(G):
@@ -597,10 +636,28 @@ def test_relative_weyl_group_matches_matrix_scan(spec, levis):
     G = cartan_type(spec)
     weyl = _ref_weyl_elements(G)
     assert G.weyl_elements() == weyl
-    cosets = _stable_levis(G)
-    assert len(cosets) == levis
-    for L0 in cosets:
-        assert relative_weyl_group(G, L0) == _ref_relative_weyl_group(G, L0, weyl)
+    levis_of_G = _stable_levis(G)
+    assert len(levis_of_G) == levis
+    cosets = [relative_weyl_group(G, L0) for L0 in levis_of_G]
+    for L0, coset in zip(levis_of_G, cosets):
+        assert coset == _ref_relative_weyl_group(G, L0, weyl)
+    # the twist acts on some coset exactly for the twisted types
+    assert all(c.split for c in cosets) == (not spec.startswith("2"))
+
+
+def test_split_with_a_twisted_torus():
+    # gl(2).levi((), s): the twist s is not the identity, but it commutes
+    # with W(GL2) = {1, s}, and with the trivial Weyl group of the Levi datum
+    G = gl(2)
+    T = G.levi((), G.reflection(0))
+    LD = T.as_datum()
+    for coset in (relative_weyl_group(G, T), relative_weyl_group(LD, LD.levi(()))):
+        assert coset.twist != identity_mat(2)
+        assert not _ref_is_nontrivially_twisted(coset.elements, coset.twist)
+        assert coset.split
+    # |Z^0(T)^{wsF}| for w = 1, s: the twisted torus q^2 - 1, then (q - 1)^2
+    by_rep = {c.rep: c.torus_order for c in relative_weyl_group(G, T).classes}
+    assert by_rep == {identity_mat(2): q * q - 1, G.reflection(0): (q - 1) ** 2}
 
 
 class TestGlBlockStructureChecks:
@@ -621,7 +678,7 @@ class TestGlBlockStructureChecks:
         ids=["splits-a-block", "not-a-permutation"],
     )
     def test_representative_must_permute_the_blocks(self, subset, rep):
-        classes = (TwistedClass(rep, frozenset({rep}), 1, 1),)
+        classes = (TwistedClass(rep, frozenset({rep}), 1, 1, _charpoly(rep)),)
         with pytest.raises(ArithmeticInvariantError, match="does not permute"):
             _gl_block_structure(self.G, self.G.levi(subset), classes)
 
@@ -638,7 +695,7 @@ class TestGlBlockStructureChecks:
         # two classes of size 1 with the swap of W(GL2) as representative
         G = gl(2)
         s = G.reflection(0)
-        cls = TwistedClass(s, frozenset({s}), 1, 2)
+        cls = TwistedClass(s, frozenset({s}), 1, 2, _charpoly(s))
         with pytest.raises(ArithmeticInvariantError, match="one cycle type"):
             _gl_block_structure(G, G.levi(()), (cls, cls))
 
@@ -654,11 +711,19 @@ class TestTwistedClassChecks:
 
     def classes(self, elements, twist):
         perm = self.G.root_permutation
-        return _twisted_classes({perm(w): w for w in elements}, perm(twist))
+        L0 = self.G.levi((), twist)
+        return _twisted_classes(
+            {perm(w): w for w in elements},
+            perm(twist),
+            lambda w: torus_fixed_order(L0, w),
+        )
 
     def test_twisted_s3(self):
-        got = self.classes(self.G.weyl_elements(), self.t)
+        got, split = self.classes(self.G.weyl_elements(), self.t)
         assert sorted(c.size for c in got) == [1, 2, 3]
+        # conjugation by a transposition moves the other two
+        assert not split
+        assert self.classes(self.G.weyl_elements(), self.one)[1]
 
     def test_twist_must_normalize(self):
         with pytest.raises(ValueError, match="does not normalize the relative"):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from greenfn import twovar
+from greenfn import rootdata, twovar
 from greenfn.cli import EXIT_INVARIANT, main
-from greenfn.green import SolverError, solved_block
+from greenfn.gelfand import induced_gg_norm
+from greenfn.green import SolverError, green_orthogonality, solved_block
 from greenfn.qpoly import QPoly, RatFunc
 from greenfn.springer import gl_springer
 from greenfn.twovar import (
@@ -213,3 +214,31 @@ class TestReuse:
         assert len(doubled) == 2
         assert (q - 1) ** 3 in doubled
         assert (q * q - 1) * (q - 1) in doubled
+
+
+def test_one_characteristic_polynomial_per_class(monkeypatch):
+    """The solver, both routes, the orthogonality suite, |L^F| and the
+    Gelfand-Graev norms read the torus order made for each class when its
+    coset was built, and make no characteristic polynomial of their own."""
+    build, charpoly = rootdata.relative_weyl_group, rootdata._charpoly
+    built, charpolys = [], []
+
+    def counted_build(G, L0):
+        built.append(build(G, L0))
+        return built[-1]
+
+    def counted_charpoly(a):
+        charpolys.append(a)
+        return charpoly(a)
+
+    monkeypatch.setattr(rootdata, "relative_weyl_group", counted_build)
+    monkeypatch.setattr(rootdata, "_charpoly", counted_charpoly)
+    gl_springer.cache_clear()
+    tG = gl_springer(3)
+    G = tG.group
+    for subset in [(), (0,), (1,), (0, 1)]:
+        green_two_var_table(tG, G.levi(subset))
+        induced_gg_norm(G, G.levi(subset))
+    assert green_orthogonality(tG, 0)
+    assert len(built) > 4
+    assert len(charpolys) == sum(len(c.classes) for c in built)
